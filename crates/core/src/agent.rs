@@ -6,13 +6,18 @@
 //! locally (doorbell + device queues), and reports device failures and
 //! load upstream. The agent is single-threaded and poll-mode, like the
 //! datapath stacks it mediates for.
+//!
+//! Polling is event-driven in the simulator: an idle agent skips the
+//! empty passes before the next published slot arithmetically (see
+//! [`shmem::skip_idle_passes`]), so its clock lands on the busy-poll
+//! grid while only the passes that deliver something touch the fabric.
 
 use std::collections::HashMap;
 
 use cxl_fabric::{Fabric, HostId};
 use pcie_sim::nic::TxFrame;
 use pcie_sim::{Accelerator, BufRef, DeviceError, DeviceId, Nic, Ssd};
-use shmem::channel::{ChannelReceiver, ChannelSend, ChannelSender};
+use shmem::channel::{skip_idle_passes, ChannelReceiver, ChannelSend, ChannelSender};
 use shmem::ring::PollOutcome;
 use simkit::trace::{self, Track};
 use simkit::Nanos;
@@ -35,6 +40,15 @@ pub struct Link {
     pub tx: ChannelSender,
     /// Receiver from the peer.
     pub rx: ChannelReceiver,
+}
+
+/// The uncontended cost of one empty poll pass over `links`: the sum of
+/// their idle poll costs (a link whose poll would fail costs nothing).
+pub(crate) fn idle_pass_cost<'a>(fabric: &Fabric, links: impl Iterator<Item = &'a Link>) -> Nanos {
+    links
+        .filter_map(|l| l.rx.idle_poll_cost(fabric))
+        .map(|c| c.total)
+        .sum()
 }
 
 /// A completed forwarded operation, as recorded by the *requesting*
@@ -163,9 +177,10 @@ impl Agent {
         self.outbox_orch.len() + self.out_frames.len()
     }
 
-    /// Aggregated send-side ring statistics across every channel link
-    /// this agent holds (mesh peers + orchestrator): total sends,
-    /// backpressure events, and cumulative stall nanoseconds. The
+    /// Aggregated ring statistics across every channel link this agent
+    /// holds (mesh peers + orchestrator): total sends, backpressure
+    /// events, cumulative stall nanoseconds and malformed fragments
+    /// dropped on receive. The
     /// metrics plane samples these as `chan/*` series.
     pub fn channel_stats(&self) -> shmem::channel::ChannelStats {
         let mut total = shmem::channel::ChannelStats::default();
@@ -174,6 +189,7 @@ impl Agent {
             total.sends += s.sends;
             total.blocked_events += s.blocked_events;
             total.stall_ns += s.stall_ns;
+            total.malformed += link.rx.stats().malformed;
         }
         total
     }
@@ -295,50 +311,75 @@ impl Agent {
         }
     }
 
+    /// The uncontended cost of one empty poll pass over this agent's
+    /// links (see [`skip_idle_passes`]).
+    pub fn idle_pass_cost(&self, fabric: &Fabric) -> Nanos {
+        idle_pass_cost(fabric, self.links.iter().map(|(_, l)| l))
+    }
+
     /// Runs the agent's poll loop until its clock reaches `until`,
     /// executing any forwarded operations and orchestrator commands it
     /// receives. Failure notices for the orchestrator accumulate in an
     /// outbox and are flushed on each pass.
+    ///
+    /// While the outbox is empty the agent is idle until some ring's
+    /// next slot becomes visible: the passes before the first one that
+    /// would observe it are skipped with [`skip_idle_passes`], and only
+    /// that pass runs through the timed fabric.
     pub fn pump(&mut self, fabric: &mut Fabric, until: Nanos) {
         while self.clock < until {
-            let before = self.clock;
-            // Flush pending orchestrator notices first.
-            let pending: Vec<Msg> = std::mem::take(&mut self.outbox_orch);
-            for msg in pending {
-                // Best effort: if blocked, requeue for the next pass.
-                if self.send_to(fabric, Peer::Orchestrator, &msg).is_err() {
-                    self.outbox_orch.push(msg);
+            if self.outbox_orch.is_empty() {
+                let rxs = self.links.iter().map(|(_, l)| &l.rx);
+                self.clock = skip_idle_passes(fabric, self.clock, until, rxs);
+                if self.clock >= until {
+                    break;
                 }
             }
-            // One round-robin pass over all links.
-            for i in 0..self.links.len() {
-                let clock = self.clock;
-                let outcome = {
-                    let (_, link) = &mut self.links[i];
-                    link.rx.poll(fabric, clock)
-                };
-                match outcome {
-                    Ok(PollOutcome::Empty(t)) => self.clock = t,
-                    Ok(PollOutcome::Msg { data, at }) => {
-                        self.clock = at;
-                        if let Ok(msg) = Msg::decode(&data) {
-                            self.dispatch(fabric, i, msg);
-                        }
-                    }
-                    Err(_) => {
-                        // Fabric trouble on this link (e.g. MHD failure):
-                        // skip it this round; time advances via the
-                        // other links.
+            self.poll_pass(fabric, until);
+        }
+    }
+
+    /// One pass of the poll loop through the timed fabric: flush the
+    /// orchestrator outbox, then poll every link once and dispatch what
+    /// arrives.
+    pub(crate) fn poll_pass(&mut self, fabric: &mut Fabric, until: Nanos) {
+        let before = self.clock;
+        // Flush pending orchestrator notices first.
+        let pending: Vec<Msg> = std::mem::take(&mut self.outbox_orch);
+        for msg in pending {
+            // Best effort: if blocked, requeue for the next pass.
+            if self.send_to(fabric, Peer::Orchestrator, &msg).is_err() {
+                self.outbox_orch.push(msg);
+            }
+        }
+        // One round-robin pass over all links.
+        for i in 0..self.links.len() {
+            let clock = self.clock;
+            let outcome = {
+                let (_, link) = &mut self.links[i];
+                link.rx.poll(fabric, clock)
+            };
+            match outcome {
+                Ok(PollOutcome::Empty(t)) => self.clock = t,
+                Ok(PollOutcome::Msg { data, at }) => {
+                    self.clock = at;
+                    if let Ok(msg) = Msg::decode(&data) {
+                        self.dispatch(fabric, i, msg);
                     }
                 }
+                Err(_) => {
+                    // Fabric trouble on this link (e.g. MHD failure):
+                    // skip it this round; time advances via the
+                    // other links.
+                }
             }
-            if self.links.is_empty() || self.clock == before {
-                // No link consumed any time this pass — every ring is
-                // on failed pool memory (λ-interleaved rings all touch
-                // a failed MHD). The host busy-polls through the
-                // outage; burn the quantum instead of spinning forever.
-                self.clock = until;
-            }
+        }
+        if self.links.is_empty() || self.clock == before {
+            // No link consumed any time this pass — every ring is
+            // on failed pool memory (λ-interleaved rings all touch
+            // a failed MHD). The host busy-polls through the
+            // outage; burn the quantum instead of spinning forever.
+            self.clock = self.clock.max(until);
         }
     }
 

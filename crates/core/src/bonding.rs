@@ -187,7 +187,7 @@ impl BondedNic {
             crate::agent::Peer::Host(attach),
             &msg,
         )?;
-        Ok(Submitted::Remote { op, attach })
+        Ok(Submitted::Remote { op, dev, attach })
     }
 }
 

@@ -11,12 +11,12 @@ use std::collections::{BTreeMap, HashMap};
 
 use cxl_fabric::{DomainId, Fabric, FabricError, HostId};
 use pcie_sim::DeviceId;
-use shmem::channel::ChannelSend;
+use shmem::channel::{skip_idle_passes, ChannelSend};
 use shmem::ring::PollOutcome;
 use simkit::rng::Rng;
 use simkit::Nanos;
 
-use crate::agent::Link;
+use crate::agent::{idle_pass_cost, Link};
 use crate::proto::Msg;
 use crate::striping::ReplicaSet;
 use crate::vdev::{DeviceKind, PoolError};
@@ -287,42 +287,57 @@ impl Orchestrator {
         }
     }
 
+    /// The uncontended cost of one empty poll pass over the agent links
+    /// (see [`skip_idle_passes`]).
+    pub fn idle_pass_cost(&self, fabric: &Fabric) -> Nanos {
+        idle_pass_cost(fabric, self.links.iter().map(|(_, l)| l))
+    }
+
     /// Polls agent channels until `until`, reacting to failure and load
-    /// reports.
+    /// reports. Passes that would find every ring empty are skipped with
+    /// [`skip_idle_passes`]; only a pass that observes a published slot
+    /// runs through the timed fabric.
     pub fn pump(&mut self, fabric: &mut Fabric, until: Nanos) {
         while self.clock < until {
-            if self.links.is_empty() {
-                self.clock = until;
+            let rxs = self.links.iter().map(|(_, l)| &l.rx);
+            self.clock = skip_idle_passes(fabric, self.clock, until, rxs);
+            if self.clock >= until {
                 return;
             }
-            let before = self.clock;
-            let mut inbox: Vec<Msg> = Vec::new();
-            for i in 0..self.links.len() {
-                let clock = self.clock;
-                let outcome = {
-                    let (_, link) = &mut self.links[i];
-                    link.rx.poll(fabric, clock)
-                };
-                match outcome {
-                    Ok(PollOutcome::Empty(t)) => self.clock = t,
-                    Ok(PollOutcome::Msg { data, at }) => {
-                        self.clock = at;
-                        if let Ok(msg) = Msg::decode(&data) {
-                            inbox.push(msg);
-                        }
+            self.poll_pass(fabric, until);
+        }
+    }
+
+    /// One pass through the timed fabric: poll every agent link once,
+    /// then handle what arrived.
+    pub(crate) fn poll_pass(&mut self, fabric: &mut Fabric, until: Nanos) {
+        let before = self.clock;
+        let mut inbox: Vec<Msg> = Vec::new();
+        for i in 0..self.links.len() {
+            let clock = self.clock;
+            let outcome = {
+                let (_, link) = &mut self.links[i];
+                link.rx.poll(fabric, clock)
+            };
+            match outcome {
+                Ok(PollOutcome::Empty(t)) => self.clock = t,
+                Ok(PollOutcome::Msg { data, at }) => {
+                    self.clock = at;
+                    if let Ok(msg) = Msg::decode(&data) {
+                        inbox.push(msg);
                     }
-                    Err(_) => {}
                 }
+                Err(_) => {}
             }
-            if self.clock == before {
-                // Every link errored without consuming time (all rings
-                // sit on failed pool memory): burn the quantum rather
-                // than spinning forever during the outage.
-                self.clock = until;
-            }
-            for msg in inbox {
-                self.handle(fabric, msg);
-            }
+        }
+        if self.clock == before {
+            // Every link errored without consuming time (all rings
+            // sit on failed pool memory): burn the quantum rather
+            // than spinning forever during the outage.
+            self.clock = self.clock.max(until);
+        }
+        for msg in inbox {
+            self.handle(fabric, msg);
         }
     }
 

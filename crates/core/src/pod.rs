@@ -89,6 +89,8 @@ pub enum Submitted {
     Remote {
         /// Operation id to match the completion.
         op: u64,
+        /// The device executing the operation.
+        dev: DeviceId,
         /// Host executing the operation.
         attach: HostId,
     },
@@ -1026,7 +1028,7 @@ impl PodSim {
         // store has landed.
         self.agents[owner.0 as usize].advance_clock(staged);
         self.agents[owner.0 as usize].send_to(&mut self.fabric, Peer::Host(attach), &msg)?;
-        self.await_completion(owner, attach, op, deadline)
+        self.await_completion(owner, attach, dev, op, deadline)
             .map(|c| OpResult {
                 op,
                 at: c.at,
@@ -1079,7 +1081,7 @@ impl PodSim {
         // One polling phase covers the whole batch.
         let mut out = Vec::with_capacity(ops.len());
         for op in ops {
-            let c = self.await_completion(owner, attach, op, deadline)?;
+            let c = self.await_completion(owner, attach, dev, op, deadline)?;
             out.push(OpResult {
                 op,
                 at: c.at,
@@ -1128,7 +1130,7 @@ impl PodSim {
             len: IO_SLOT as u32,
         };
         self.agents[owner.0 as usize].send_to(&mut self.fabric, Peer::Host(attach), &msg)?;
-        self.await_completion(owner, attach, op, deadline)?;
+        self.await_completion(owner, attach, dev, op, deadline)?;
         Ok(buf)
     }
 
@@ -1251,16 +1253,8 @@ impl PodSim {
         write: bool,
         deadline: Nanos,
     ) -> Result<OpResult, PoolError> {
-        match self.ssd_submit_on(owner, dev, lba, blocks, buf, write)? {
-            Submitted::Local(r) => Ok(r),
-            Submitted::Remote { op, attach } => self
-                .await_completion(owner, attach, op, deadline)
-                .map(|c| OpResult {
-                    op,
-                    at: c.at,
-                    local: false,
-                }),
-        }
+        let submitted = self.ssd_submit_on(owner, dev, lba, blocks, buf, write)?;
+        self.await_submitted(owner, submitted, deadline)
     }
 
     /// Submits an SSD operation without waiting for its completion, so
@@ -1327,7 +1321,7 @@ impl PodSim {
             }
         };
         self.agents[owner.0 as usize].send_to(&mut self.fabric, Peer::Host(attach), &msg)?;
-        Ok(Submitted::Remote { op, attach })
+        Ok(Submitted::Remote { op, dev, attach })
     }
 
     /// Waits for a [`Submitted`] operation to complete.
@@ -1339,8 +1333,8 @@ impl PodSim {
     ) -> Result<OpResult, PoolError> {
         match submitted {
             Submitted::Local(r) => Ok(r),
-            Submitted::Remote { op, attach } => self
-                .await_completion(owner, attach, op, deadline)
+            Submitted::Remote { op, dev, attach } => self
+                .await_completion(owner, attach, dev, op, deadline)
                 .map(|c| OpResult {
                     op,
                     at: c.at,
@@ -1442,7 +1436,7 @@ impl PodSim {
             outbuf,
         };
         self.agents[owner.0 as usize].send_to(&mut self.fabric, Peer::Host(attach), &msg)?;
-        self.await_completion(owner, attach, op, deadline)
+        self.await_completion(owner, attach, dev, op, deadline)
             .map(|c| OpResult {
                 op,
                 at: c.at,
@@ -1455,12 +1449,13 @@ impl PodSim {
     // -----------------------------------------------------------------
 
     /// Drives the attach and owner agents (and the orchestrator) until
-    /// the completion for `op` arrives at the owner or `deadline`
-    /// passes.
+    /// the completion for `op`, submitted to `dev` on `attach`, arrives
+    /// at the owner or `deadline` passes.
     fn await_completion(
         &mut self,
         owner: HostId,
         attach: HostId,
+        dev: DeviceId,
         op: u64,
         deadline: Nanos,
     ) -> Result<Completion, PoolError> {
@@ -1470,9 +1465,6 @@ impl PodSim {
                 if c.status == 0 {
                     return Ok(c);
                 }
-                let dev = self
-                    .binding(owner, DeviceKind::Nic)
-                    .unwrap_or(DeviceId(u32::MAX));
                 return Err(PoolError::RemoteFailed { op, dev });
             }
             let now = self.time();
@@ -1784,6 +1776,157 @@ mod tests {
         for (i, f) in frames.iter().enumerate() {
             assert_eq!(f.bytes, payloads[i], "frame {i}");
         }
+    }
+
+    /// An 8-host pod shaped like the tenant-churn benchmark's.
+    fn eight_host_params() -> PodParams {
+        let mut p = PodParams::new(8, 2);
+        p.mhds = 4;
+        p.domains = 2;
+        p.lambda = 4;
+        p.ssd_hosts = vec![0, 1];
+        p.accel_hosts = vec![2];
+        p.ring_slots = 128;
+        p
+    }
+
+    /// Runs one real pass of every actor, each on an otherwise idle
+    /// fabric, and checks it against the analytic pass cost.
+    fn assert_pass_cost_is_exact(mut pod: PodSim) {
+        // Start well after every booking so each pass finds idle pipes,
+        // and space the actors so no pass queues behind another's.
+        let mut t = pod.time() + Nanos::from_micros(100);
+        for h in 0..pod.agents.len() {
+            let a = &mut pod.agents[h];
+            a.advance_clock(t);
+            let p = a.idle_pass_cost(&pod.fabric);
+            assert!(p > Nanos::ZERO);
+            a.poll_pass(&mut pod.fabric, t);
+            assert_eq!(a.clock() - t, p, "host {h}");
+            t += Nanos::from_micros(100);
+        }
+        pod.orch.advance_clock(t);
+        let p = pod.orch.idle_pass_cost(&pod.fabric);
+        pod.orch.poll_pass(&mut pod.fabric, t);
+        assert_eq!(pod.orch.clock() - t, p, "orchestrator");
+    }
+
+    #[test]
+    fn idle_pass_cost_matches_a_real_empty_pass() {
+        assert_pass_cost_is_exact(PodSim::new(PodParams::new(6, 2)));
+        assert_pass_cost_is_exact(PodSim::new(eight_host_params()));
+    }
+
+    #[test]
+    fn pickup_lands_on_the_busy_poll_grid() {
+        use cxl_fabric::fabric::INVALIDATE_NS;
+        use cxl_fabric::FabricParams;
+        use shmem::ring::POLL_CPU_NS;
+        use simkit::time::transfer_time;
+
+        let mut pod = PodSim::new(PodParams::new(2, 1));
+        // One empty poll from the constants: CPU + invalidate, then a
+        // 64 B load on idle pipes (request up the link, MHD DRAM, device
+        // latency, data down the link).
+        let fp = FabricParams::default();
+        let sees = Nanos(POLL_CPU_NS + INVALIDATE_NS);
+        let load = Nanos(fp.cxl_host_overhead_ns)
+            + transfer_time(64, fp.link_gbps())
+            + Nanos(fp.cxl_wire_ns)
+            + transfer_time(64, fp.mhd_dram_gbps)
+            + Nanos(fp.mhd_occupancy_ns)
+            + Nanos(fp.cxl_device_ns)
+            + transfer_time(64, fp.link_gbps())
+            + Nanos(fp.cxl_wire_ns);
+        // Host 0 polls two rings: host 1's, then the orchestrator's.
+        let pass = (sees + load) * 2;
+        assert_eq!(pod.agents[0].idle_pass_cost(&pod.fabric), pass);
+
+        let c0 = pod.agents[0].clock();
+        pod.agents[1].advance_clock(c0 + Nanos(5_123));
+        let msg = Msg::Assign {
+            host: HostId(0),
+            kind: DeviceKind::Nic.as_u8(),
+            dev: DeviceId(77),
+        };
+        let v = pod.agents[1]
+            .send_to(&mut pod.fabric, Peer::Host(HostId(0)), &msg)
+            .expect("send");
+        // Busy polling from c0, host 1's ring is sampled `sees` into
+        // each pass; the first pass sampling at or after v picks it up.
+        let k = (v - (c0 + sees)).as_nanos().div_ceil(pass.as_nanos());
+        let pickup = c0 + pass * k;
+        pod.agents[0].pump(&mut pod.fabric, pickup);
+        assert_eq!(pod.agents[0].clock(), pickup);
+        assert_ne!(pod.binding(HostId(0), DeviceKind::Nic), Some(DeviceId(77)));
+        pod.agents[0].pump(&mut pod.fabric, pickup + Nanos(1));
+        assert_eq!(pod.binding(HostId(0), DeviceKind::Nic), Some(DeviceId(77)));
+        assert_eq!(pod.agents[0].clock(), pickup + pass);
+    }
+
+    #[test]
+    fn idle_run_control_issues_no_loads() {
+        for params in [PodParams::new(6, 2), eight_host_params()] {
+            let mut pod = PodSim::new(params);
+            let (loads, t0) = (pod.fabric.stats().loads, pod.time());
+            pod.run_control(Nanos::from_millis(1));
+            assert_eq!(pod.fabric.stats().loads, loads);
+            assert!(pod.time() >= t0 + Nanos::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn message_on_failed_mhd_is_delivered_after_restore() {
+        let mut pod = PodSim::new(PodParams::new(2, 1));
+        // The ring carrying host 1 -> host 0 lives on one MHD.
+        let (_, _, _, ring) = pod.mesh_segs[0];
+        let mhd = pod.fabric.segment(ring).expect("live").ways()[0];
+        let domain = pod.fabric.topology().domain_of(mhd);
+        let msg = Msg::Assign {
+            host: HostId(0),
+            kind: DeviceKind::Nic.as_u8(),
+            dev: DeviceId(77),
+        };
+        pod.agents[1]
+            .send_to(&mut pod.fabric, Peer::Host(HostId(0)), &msg)
+            .expect("send");
+        pod.fabric.topology_mut().fail_domain(domain);
+        pod.run_control(Nanos::from_micros(100));
+        assert_ne!(
+            pod.binding(HostId(0), DeviceKind::Nic),
+            Some(DeviceId(77)),
+            "unreachable while the MHD is down"
+        );
+        pod.restore_domain(domain);
+        pod.run_control(Nanos::from_micros(100));
+        assert_eq!(pod.binding(HostId(0), DeviceKind::Nic), Some(DeviceId(77)));
+    }
+
+    #[test]
+    fn remote_failure_names_the_failed_device() {
+        let mut params = PodParams::new(4, 1);
+        params.ssd_hosts = vec![1];
+        params.accel_hosts = vec![1];
+        let mut pod = PodSim::new(params);
+        let owner = HostId(2);
+        let nic = pod.binding(owner, DeviceKind::Nic).expect("nic");
+        let ssd = pod.binding(owner, DeviceKind::Ssd).expect("ssd");
+        let accel = pod.binding(owner, DeviceKind::Accel).expect("accel");
+        assert_eq!(pod.attach_of(ssd), Some(HostId(1)));
+        assert_eq!(pod.attach_of(accel), Some(HostId(1)));
+
+        pod.fail_ssd(ssd);
+        let err = pod.vssd_read(owner, 0, 1, deadline()).unwrap_err();
+        assert!(
+            matches!(err, PoolError::RemoteFailed { dev, .. } if dev == ssd && dev != nic),
+            "{err:?}"
+        );
+        pod.fail_accel(accel);
+        let err = pod.vaccel_run(owner, &[1u8; 64], deadline()).unwrap_err();
+        assert!(
+            matches!(err, PoolError::RemoteFailed { dev, .. } if dev == accel),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -13,6 +13,7 @@ use std::collections::BTreeMap;
 
 use simkit::metrics::{MetricsConfig, MetricsRecorder};
 use simkit::server::BandwidthPipe;
+use simkit::time::transfer_time;
 use simkit::trace::{TraceConfig, TraceRecorder, Track};
 use simkit::Nanos;
 
@@ -29,7 +30,7 @@ use crate::topology::{HostId, LinkId, MhdId, Topology};
 /// Cost of a load served from the host's own cache (an L2-ish hit).
 const CACHE_HIT_NS: u64 = 5;
 /// CPU cost of issuing one cache-line invalidate.
-const INVALIDATE_NS: u64 = 2;
+pub const INVALIDATE_NS: u64 = 2;
 
 /// Construction parameters for a pod.
 #[derive(Clone, Debug)]
@@ -158,6 +159,10 @@ pub struct Fabric {
     /// pool access computes an interleave spread, and reusing one
     /// buffer keeps the datapath allocation-free.
     spread_scratch: Vec<(MhdId, u64)>,
+    /// Bumped on every [`Fabric::topology_mut`] borrow, so callers that
+    /// cache path-dependent answers (see [`Fabric::idle_load_latency`])
+    /// know when to recompute them.
+    topology_epoch: u64,
 }
 
 impl Fabric {
@@ -212,6 +217,7 @@ impl Fabric {
             trace: None,
             metrics: None,
             spread_scratch: Vec::new(),
+            topology_epoch: 0,
         }
     }
 
@@ -428,9 +434,19 @@ impl Fabric {
         &self.topology
     }
 
-    /// Mutable topology access (failure injection).
+    /// Mutable topology access (failure injection). Every call counts
+    /// as a topology change for [`Fabric::topology_epoch`].
     pub fn topology_mut(&mut self) -> &mut Topology {
+        self.topology_epoch += 1;
         &mut self.topology
+    }
+
+    /// A counter that changes whenever the topology may have changed
+    /// (link or MHD failure or repair). Answers derived from paths,
+    /// such as [`Fabric::idle_load_latency`], stay valid while it
+    /// holds still.
+    pub fn topology_epoch(&self) -> u64 {
+        self.topology_epoch
     }
 
     /// The timing parameters in force.
@@ -789,18 +805,84 @@ impl Fabric {
     /// back, so the next load refetches from the pool. This is how a
     /// reader guarantees freshness on non-coherent hardware.
     pub fn invalidate(&mut self, now: Nanos, host: HostId, hpa: u64, len: u64) -> Nanos {
-        let mut n = 0u64;
         for la in lines(hpa, len) {
             self.caches[host.0 as usize].invalidate(la);
-            n += 1;
         }
         if let Some(a) = self.audit.as_deref_mut() {
             a.on_invalidate(now, host, hpa, len);
         }
         self.sync_trace_audit();
-        let done = now + Nanos(INVALIDATE_NS) * n;
+        let done = now + Self::invalidate_cost(hpa, len);
         self.trace_fabric_op(Track::HostCpu(host.0), "fabric/invalidate", now, done);
         done
+    }
+
+    /// Lands every in-flight write visible by `now` in pool memory, as
+    /// the start of any access at `now` does. A poll loop that skips
+    /// empty polls calls this for the last poll it skipped, so the pool
+    /// contents other hosts then read are the ones that poll would have
+    /// left behind.
+    pub fn settle(&mut self, now: Nanos) {
+        self.apply_pending(now);
+    }
+
+    /// True while the write to `hpa` that becomes visible at
+    /// `visible_at` is still in flight. Actors run on separate clocks:
+    /// once any access at or after `visible_at` has landed the write,
+    /// it is part of pool memory even for a reader whose clock is
+    /// earlier.
+    pub fn in_flight(&self, hpa: u64, visible_at: Nanos) -> bool {
+        self.pending
+            .range((visible_at, 0)..=(visible_at, u64::MAX))
+            .any(|(_, w)| w.hpa == hpa)
+    }
+
+    /// CPU time [`Fabric::invalidate`] takes over `[hpa, hpa + len)`:
+    /// [`INVALIDATE_NS`] per cache line touched.
+    pub fn invalidate_cost(hpa: u64, len: u64) -> Nanos {
+        Nanos(INVALIDATE_NS) * lines(hpa, len).count() as u64
+    }
+
+    /// Latency a [`Fabric::load`] of `len` bytes at `hpa` by `host`
+    /// would see if every line missed the host cache and every pipe on
+    /// its path were idle: the pure, uncontended form of the timed
+    /// read. Books no pipe time and touches no cache, counter, audit or
+    /// trace state. Fails exactly when the load would: access checks,
+    /// or no up link to an MHD the range lives on.
+    pub fn idle_load_latency(
+        &self,
+        host: HostId,
+        hpa: u64,
+        len: u64,
+    ) -> Result<Nanos, FabricError> {
+        self.check(host, hpa, len)?;
+        let bytes = lines(hpa, len).count() as u64 * CACHELINE;
+        let seg = self.alloc.segment_at(hpa)?;
+        let mut spread = Vec::new();
+        seg.spread_into(hpa, bytes.min(seg.end() - hpa).max(1), &mut spread);
+        let p = &self.params;
+        let link_gbps = p.link_gbps();
+        let wire = Nanos(p.cxl_wire_ns);
+        let mut done = Nanos::ZERO;
+        for &(mhd, b) in &spread {
+            let up = self.topology.mhd_is_up(mhd)
+                && self.topology.host_links(host).any(|l| l.up && l.mhd == mhd);
+            if !up {
+                return Err(FabricError::NoPath { host, mhd });
+            }
+            // Same stages as `timed_read_inner`, each starting the
+            // moment the previous one ends.
+            let path = Nanos(p.cxl_host_overhead_ns)
+                + transfer_time(CACHELINE, link_gbps)
+                + wire
+                + transfer_time(b, p.mhd_dram_gbps)
+                + Nanos(p.mhd_occupancy_ns)
+                + Nanos(p.cxl_device_ns)
+                + transfer_time(b, link_gbps)
+                + wire;
+            done = done.max(path);
+        }
+        Ok(done)
     }
 
     // ---------------------------------------------------------------
@@ -1383,6 +1465,57 @@ mod tests {
             .load(Nanos(0), HostId(0), seg.base() + 512, &mut buf)
             .unwrap_err();
         assert!(matches!(err, FabricError::NoPath { .. }));
+    }
+
+    #[test]
+    fn idle_load_latency_equals_a_real_miss_on_idle_pipes() {
+        let mut f = pod();
+        let seg = f
+            .alloc_shared(&[HostId(0), HostId(1)], 4096)
+            .expect("alloc");
+        for (off, len) in [(0u64, 64usize), (64, 8), (100, 200), (256, 1024)] {
+            let hpa = seg.base() + off;
+            let idle = f
+                .idle_load_latency(HostId(1), hpa, len as u64)
+                .expect("path");
+            let before = f.stats();
+            let start = Nanos(1_000_000 * (off + 1));
+            let t = f.invalidate(start, HostId(1), hpa, len as u64);
+            let mut buf = vec![0u8; len];
+            let done = f.load(t, HostId(1), hpa, &mut buf).expect("load");
+            assert_eq!(done - t, idle, "range +{off}/{len}");
+            assert_eq!(f.stats().loads, before.loads + 1);
+        }
+        // The pure query itself counts nothing.
+        let before = f.stats().loads;
+        f.idle_load_latency(HostId(0), seg.base(), 64)
+            .expect("path");
+        assert_eq!(f.stats().loads, before);
+    }
+
+    #[test]
+    fn idle_load_latency_fails_like_the_load() {
+        let mut f = pod();
+        let seg = f.alloc_shared(&[HostId(0)], 4096).expect("alloc");
+        assert!(matches!(
+            f.idle_load_latency(HostId(1), seg.base(), 64),
+            Err(FabricError::AccessDenied { .. })
+        ));
+        let epoch = f.topology_epoch();
+        for m in 0..f.topology().mhds() {
+            f.topology_mut().fail_mhd(MhdId(m));
+        }
+        assert!(f.topology_epoch() > epoch);
+        assert!(matches!(
+            f.idle_load_latency(HostId(0), seg.base(), 64),
+            Err(FabricError::NoPath { .. })
+        ));
+    }
+
+    #[test]
+    fn invalidate_cost_is_per_line() {
+        assert_eq!(Fabric::invalidate_cost(0, 64), Nanos(INVALIDATE_NS));
+        assert_eq!(Fabric::invalidate_cost(60, 8), Nanos(2 * INVALIDATE_NS));
     }
 
     #[test]

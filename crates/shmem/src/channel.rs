@@ -10,7 +10,10 @@ use cxl_fabric::{Fabric, FabricError, HostId};
 use simkit::trace::Track;
 use simkit::Nanos;
 
-use crate::ring::{PollOutcome, RingBuf, RingReceiver, RingSender, SendOutcome, SLOT_PAYLOAD};
+use crate::ring::{
+    plan_idle_skip, PollCost, PollOutcome, RingBuf, RingReceiver, RingSender, SendOutcome,
+    SLOT_PAYLOAD,
+};
 
 /// Per-fragment header bytes.
 const FRAG_HDR: usize = 2;
@@ -85,9 +88,11 @@ pub enum ChannelSend {
     },
 }
 
-/// Counters kept by a [`ChannelSender`]. Backpressure used to be
+/// Counters kept by a channel endpoint. Backpressure used to be
 /// invisible: a `Blocked` → `resume` cycle left no trace in any
-/// statistic. These counters make stalls first-class.
+/// statistic. These counters make stalls first-class. A
+/// [`ChannelSender`] fills the send-side fields and a
+/// [`ChannelReceiver`] the receive-side ones.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ChannelStats {
     /// Messages fully sent (all fragments written).
@@ -97,6 +102,10 @@ pub struct ChannelStats {
     /// Cumulative nanoseconds messages spent stalled between the first
     /// `Blocked` and the start of the resume that completed them.
     pub stall_ns: u64,
+    /// Received fragments dropped as malformed (a header that does not
+    /// fit its slot), together with the partial message they belonged
+    /// to.
+    pub malformed: u64,
 }
 
 /// Sending half: fragments and writes messages.
@@ -215,6 +224,7 @@ impl ChannelSender {
 pub struct ChannelReceiver {
     ring: RingReceiver,
     partial: Vec<u8>,
+    stats: ChannelStats,
 }
 
 impl ChannelReceiver {
@@ -222,20 +232,52 @@ impl ChannelReceiver {
         ChannelReceiver {
             ring,
             partial: Vec::new(),
+            stats: ChannelStats::default(),
         }
     }
 
+    /// Receive-side counters for this direction.
+    pub fn stats(&self) -> ChannelStats {
+        self.stats
+    }
+
+    /// When a poll would first find the next fragment, if one is
+    /// published (see [`RingReceiver::next_visible`]).
+    pub fn next_visible(&self, fabric: &Fabric) -> Option<Nanos> {
+        self.ring.next_visible(fabric)
+    }
+
+    /// Idle-fabric cost of the next poll (see
+    /// [`RingReceiver::idle_poll_cost`]).
+    pub fn idle_poll_cost(&self, fabric: &Fabric) -> Option<PollCost> {
+        self.ring.idle_poll_cost(fabric)
+    }
+
     /// Polls once. Returns a complete message if this poll finished one;
-    /// `Empty` covers both "no fragment" and "got a non-final fragment".
+    /// `Empty` covers "no fragment", "got a non-final fragment" and "got
+    /// a malformed fragment". The fragment header comes from pool
+    /// memory, so a length that overruns its slot is dropped and
+    /// counted in [`ChannelStats::malformed`] instead of trusted, and
+    /// the message it belonged to is abandoned.
     pub fn poll(&mut self, fabric: &mut Fabric, now: Nanos) -> Result<PollOutcome, FabricError> {
         match self.ring.poll(fabric, now)? {
             PollOutcome::Empty(t) => Ok(PollOutcome::Empty(t)),
             PollOutcome::Msg { data, at } => {
-                assert!(data.len() >= FRAG_HDR, "malformed fragment");
-                let more = data[0];
-                let len = data[1] as usize;
-                self.partial
-                    .extend_from_slice(&data[FRAG_HDR..FRAG_HDR + len]);
+                let frag = match data.get(..FRAG_HDR) {
+                    Some(&[more, len]) => data
+                        .get(FRAG_HDR..FRAG_HDR + len as usize)
+                        .map(|body| (more, body)),
+                    _ => None,
+                };
+                let Some((more, body)) = frag else {
+                    self.partial.clear();
+                    self.stats.malformed += 1;
+                    if let Some(tr) = fabric.trace_mut() {
+                        tr.instant(Track::Channel(self.ring.base()), "chan/malformed", at);
+                    }
+                    return Ok(PollOutcome::Empty(at));
+                };
+                self.partial.extend_from_slice(body);
                 if more == 1 {
                     Ok(PollOutcome::Empty(at))
                 } else {
@@ -251,16 +293,25 @@ impl ChannelReceiver {
         }
     }
 
-    /// Polls repeatedly (each poll advances time) until a message
-    /// completes or `deadline` passes. Returns the message and receipt
-    /// time, or `None` at the deadline.
+    /// Polls back to back from `now` until a message completes or a
+    /// poll would start after `deadline`. Returns the message and
+    /// receipt time, or `None` at the deadline.
+    ///
+    /// Empty polls before the next published fragment are skipped with
+    /// [`skip_idle_passes`]: only polls that can observe a fragment go
+    /// through the fabric.
     pub fn poll_until(
         &mut self,
         fabric: &mut Fabric,
         mut now: Nanos,
         deadline: Nanos,
     ) -> Result<Option<(Vec<u8>, Nanos)>, FabricError> {
+        let until = deadline.checked_add(Nanos(1)).unwrap_or(Nanos::MAX);
         loop {
+            now = skip_idle_passes(fabric, now, until, [&*self]);
+            if now > deadline {
+                return Ok(None);
+            }
             match self.poll(fabric, now)? {
                 PollOutcome::Msg { data, at } => return Ok(Some((data, at))),
                 PollOutcome::Empty(t) => {
@@ -272,6 +323,35 @@ impl ChannelReceiver {
             }
         }
     }
+}
+
+/// Skips a poll loop's empty passes over `rxs` (polled round-robin in
+/// this order) and returns when its next pass through the fabric
+/// starts, or the first pass boundary at or after `until` if none is
+/// due before; see [`plan_idle_skip`]. The skipped polls are settled
+/// ([`Fabric::settle`]) up to the last one's sample time, so the pool
+/// contents other actors read afterwards are the ones a simulated poll
+/// would have left; no skipped poll books pipe time, touches a cache or
+/// is audited.
+pub fn skip_idle_passes<'a>(
+    fabric: &mut Fabric,
+    clock: Nanos,
+    until: Nanos,
+    rxs: impl IntoIterator<Item = &'a ChannelReceiver>,
+) -> Nanos {
+    let plan = {
+        let fabric = &*fabric;
+        plan_idle_skip(
+            clock,
+            until,
+            rxs.into_iter()
+                .map(|rx| (rx.idle_poll_cost(fabric), rx.next_visible(fabric))),
+        )
+    };
+    if let Some(t) = plan.last_sample {
+        fabric.settle(t);
+    }
+    plan.resume
 }
 
 #[cfg(test)]
@@ -381,6 +461,73 @@ mod tests {
             .expect("rev");
         assert_eq!(m1, b"fwd");
         assert_eq!(m2, b"rev");
+    }
+
+    /// NT-stores raw slot `m` of the ring at `base`: sequence number
+    /// `m + 1`, ring length `ring_len`, then `body` (the fragment header
+    /// onward).
+    fn write_slot(f: &mut Fabric, base: u64, m: u64, ring_len: u16, body: &[u8]) -> Nanos {
+        let mut slot = [0u8; 64];
+        slot[0..8].copy_from_slice(&(m + 1).to_le_bytes());
+        slot[8..10].copy_from_slice(&ring_len.to_le_bytes());
+        slot[10..10 + body.len()].copy_from_slice(body);
+        f.nt_store(Nanos(0), HostId(0), base + m * 64, &slot)
+            .expect("store")
+    }
+
+    #[test]
+    fn malformed_fragment_is_dropped_and_counted() {
+        let mut f = Fabric::new(PodConfig::new(2, 2, 2));
+        let ch = Channel::allocate(&mut f, HostId(0), HostId(1), 8).expect("alloc");
+        let base = f.segment(ch.segments.0).expect("live").base();
+        let mut rx = ch.ab.1;
+        // A first fragment that leaves a partial message behind...
+        let mut first = vec![1u8, FRAG_PAYLOAD as u8];
+        first.extend_from_slice(&[7u8; FRAG_PAYLOAD]);
+        write_slot(&mut f, base, 0, SLOT_PAYLOAD as u16, &first);
+        // ...a fragment whose length overruns its slot (valid sequence
+        // number, so the ring delivers it)...
+        write_slot(&mut f, base, 1, SLOT_PAYLOAD as u16, &[0, 200]);
+        // ...one too short to hold a header, then a good message.
+        write_slot(&mut f, base, 2, 1, &[0]);
+        write_slot(&mut f, base, 3, 4, &[0, 2, b'o', b'k']);
+        let mut t = Nanos(10_000);
+        let mut got = Vec::new();
+        for _ in 0..4 {
+            match rx.poll(&mut f, t).expect("poll") {
+                PollOutcome::Msg { data, at } => {
+                    got.push(data);
+                    t = at;
+                }
+                PollOutcome::Empty(at) => t = at,
+            }
+        }
+        assert_eq!(rx.stats().malformed, 2);
+        assert_eq!(
+            got,
+            vec![b"ok".to_vec()],
+            "the partial message died with its bad fragment"
+        );
+    }
+
+    #[test]
+    fn skipped_polls_land_the_writes_they_would_have_read_past() {
+        let mut f = Fabric::new(PodConfig::new(2, 2, 2));
+        let ch = Channel::allocate(&mut f, HostId(0), HostId(1), 8).expect("alloc");
+        let other = f.segment(ch.segments.1).expect("live").base();
+        let (mut tx, idle_rx) = (ch.ba.0, ch.ab.1);
+        let v = match tx.send(&mut f, Nanos(0), b"x").expect("send") {
+            ChannelSend::Sent(v) => v,
+            ChannelSend::Blocked { .. } => panic!("blocked"),
+        };
+        // Skipping one poll that samples before v lands nothing...
+        let t = skip_idle_passes(&mut f, Nanos(0), Nanos(1), [&idle_rx]);
+        assert!(f.in_flight(other, v));
+        // ...while skipping past v lands the store, as a busy poll's
+        // own load would have.
+        let t = skip_idle_passes(&mut f, t, v + Nanos(5_000), [&idle_rx]);
+        assert!(t >= v + Nanos(5_000));
+        assert!(!f.in_flight(other, v));
     }
 
     #[test]

@@ -48,6 +48,8 @@ pub mod real;
 pub mod ring;
 pub mod seqlock;
 
-pub use channel::{Channel, ChannelReceiver, ChannelSend, ChannelSender, ChannelStats};
+pub use channel::{
+    skip_idle_passes, Channel, ChannelReceiver, ChannelSend, ChannelSender, ChannelStats,
+};
 pub use mailbox::{HeartbeatTable, Mailbox};
-pub use ring::{PollOutcome, RingBuf, RingReceiver, RingSender, SendOutcome};
+pub use ring::{PollCost, PollOutcome, RingBuf, RingReceiver, RingSender, SendOutcome};

@@ -19,6 +19,16 @@
 //! consumed count on the credit line (also one non-temporal store); the
 //! sender refreshes its cached view only when the ring *looks* full,
 //! keeping the common-case send to exactly one CXL write.
+//!
+//! Besides the pool bytes, the two endpoints share one piece of
+//! simulator metadata: the time each published slot becomes visible.
+//! It carries no data, only *when* a poll would find the next slot
+//! ([`RingReceiver::next_visible`]), so idle poll loops can jump to
+//! that poll instead of simulating every empty one before it. The
+//! slot itself is still read by a timed invalidate + load.
+
+use std::cell::Cell;
+use std::rc::Rc;
 
 use cxl_fabric::{Fabric, FabricError, HostId, Segment};
 use simkit::Nanos;
@@ -31,7 +41,90 @@ pub const SLOT: u64 = 64;
 /// CPU cost of assembling/stamping a message before the NT store.
 const SEND_CPU_NS: u64 = 15;
 /// CPU cost of one poll iteration (branch, compare, loop).
-const POLL_CPU_NS: u64 = 20;
+pub const POLL_CPU_NS: u64 = 20;
+
+/// Idle-fabric timing of one poll of a ring's next slot: what
+/// [`RingReceiver::poll`] costs when every pipe on the path is free.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PollCost {
+    /// From poll start to the slot load sampling pool memory. A poll
+    /// started at `t` observes a slot visible at `v` iff
+    /// `t + sees_at >= v`.
+    pub sees_at: Nanos,
+    /// From poll start to the [`PollOutcome::Empty`] time.
+    pub total: Nanos,
+}
+
+/// Visible times of published slots, written by the sender and read by
+/// the receiver. Not pool memory: nothing here is charged or audited.
+struct Publications {
+    /// Messages published so far.
+    sent: Cell<u64>,
+    /// `visible_at[m % capacity]`: when message `m` lands in pool DRAM.
+    visible_at: Box<[Cell<Nanos>]>,
+}
+
+/// The outcome of [`plan_idle_skip`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct IdleSkip {
+    /// When the poll loop next runs a pass through the fabric, or the
+    /// first pass boundary at or after `until` if none is due before.
+    pub resume: Nanos,
+    /// The sample time of the last poll skipped, if any pass was.
+    pub last_sample: Option<Nanos>,
+}
+
+/// Plans a poll loop's jump over the empty passes before its next work.
+///
+/// The loop polls some rings round-robin, one pass after another,
+/// starting a pass at `clock` and then whenever the previous pass ends,
+/// for as long as a pass starts before `until`. `rings` gives each
+/// ring's [`PollCost`] (`None`: the poll fails and takes no time) and
+/// the time from which a poll observes its next slot
+/// ([`RingReceiver::next_visible`]).
+///
+/// Every pass that observes nothing costs the same `P`, the sum of the
+/// rings' idle poll costs, so pass `k` starts at `clock + k·P` and ring
+/// `i` samples its slot at `clock + k·P + (P of rings before i) +
+/// sees_at`. The plan resumes at the start of the first pass in which
+/// some ring samples a slot at or after its visible time, if that pass
+/// starts before `until`; otherwise at the end of the last pass that
+/// does. With no pollable ring a pass takes no time and the loop is
+/// idle until `until`.
+pub fn plan_idle_skip(
+    clock: Nanos,
+    until: Nanos,
+    rings: impl IntoIterator<Item = (Option<PollCost>, Option<Nanos>)>,
+) -> IdleSkip {
+    let mut pass = Nanos::ZERO;
+    let mut wait: Option<Nanos> = None;
+    let mut last: Option<PollCost> = None;
+    for (cost, visible) in rings {
+        let Some(cost) = cost else { continue };
+        if let Some(v) = visible {
+            let w = v.saturating_sub(clock + pass + cost.sees_at);
+            wait = Some(wait.map_or(w, |x| x.min(w)));
+        }
+        pass += cost.total;
+        last = Some(cost);
+    }
+    let Some(last) = last else {
+        return IdleSkip {
+            resume: clock.max(until),
+            last_sample: None,
+        };
+    };
+    let passes = |span: Nanos| span.as_nanos().div_ceil(pass.as_nanos());
+    let to_until = passes(until.saturating_sub(clock));
+    let k = wait.map_or(to_until, |w| passes(w).min(to_until));
+    let resume = clock + pass * k;
+    IdleSkip {
+        resume,
+        // The last ring's poll ends the pass: it sampled its slot
+        // `total - sees_at` before the next pass starts.
+        last_sample: (k > 0).then(|| resume - (last.total - last.sees_at)),
+    }
+}
 
 /// A shared ring allocated in pool memory, not yet split into endpoints.
 pub struct RingBuf {
@@ -125,6 +218,10 @@ impl RingBuf {
     /// Splits into the two endpoints.
     pub fn split(self) -> (RingSender, RingReceiver) {
         let credit_every = (self.capacity / 4).max(1);
+        let pubs = Rc::new(Publications {
+            sent: Cell::new(0),
+            visible_at: (0..self.capacity).map(|_| Cell::new(Nanos::ZERO)).collect(),
+        });
         (
             RingSender {
                 base: self.seg.base(),
@@ -132,6 +229,7 @@ impl RingBuf {
                 host: self.sender,
                 next: 0,
                 credits_seen: 0,
+                pubs: Rc::clone(&pubs),
             },
             RingReceiver {
                 base: self.seg.base(),
@@ -140,6 +238,8 @@ impl RingBuf {
                 next: 0,
                 published: 0,
                 credit_every,
+                pubs,
+                cost: Cell::new(None),
             },
         )
     }
@@ -159,6 +259,7 @@ pub struct RingSender {
     next: u64,
     /// Receiver's consumed count as last observed.
     credits_seen: u64,
+    pubs: Rc<Publications>,
 }
 
 impl RingSender {
@@ -227,6 +328,8 @@ impl RingSender {
             &slot,
         )?;
         self.next = m + 1;
+        self.pubs.visible_at[(m % self.capacity) as usize].set(done);
+        self.pubs.sent.set(self.next);
         Ok(SendOutcome::Sent(done))
     }
 }
@@ -242,6 +345,9 @@ pub struct RingReceiver {
     published: u64,
     /// Publish credits every this many messages.
     credit_every: u64,
+    pubs: Rc<Publications>,
+    /// [`RingReceiver::idle_poll_cost`] for `(topology epoch, next)`.
+    cost: Cell<Option<(u64, u64, Option<PollCost>)>>,
 }
 
 impl RingReceiver {
@@ -282,6 +388,50 @@ impl RingReceiver {
         Ok(PollOutcome::Msg { data, at })
     }
 
+    /// The earliest time a [`RingReceiver::poll`] sampling the pool
+    /// would find the next slot this receiver expects: the slot's
+    /// visible time, or [`Nanos::ZERO`] once another access has already
+    /// landed it in pool memory (see [`Fabric::in_flight`]). `None` if
+    /// the sender has not published the slot yet.
+    ///
+    /// A scheduling hint only: it says when to poll, and the poll still
+    /// reads the slot through the timed fabric.
+    pub fn next_visible(&self, fabric: &Fabric) -> Option<Nanos> {
+        if self.pubs.sent.get() <= self.next {
+            return None;
+        }
+        let v = self.pubs.visible_at[(self.next % self.capacity) as usize].get();
+        Some(if fabric.in_flight(self.slot_addr(self.next), v) {
+            v
+        } else {
+            Nanos::ZERO
+        })
+    }
+
+    /// The cost of the next poll on an idle fabric, or `None` if the
+    /// poll would fail (no path to the slot's MHD). Cached until the
+    /// topology changes ([`Fabric::topology_epoch`]) or the receiver
+    /// moves on to another slot.
+    pub fn idle_poll_cost(&self, fabric: &Fabric) -> Option<PollCost> {
+        let epoch = fabric.topology_epoch();
+        if let Some((e, m, cost)) = self.cost.get() {
+            if (e, m) == (epoch, self.next) {
+                return cost;
+            }
+        }
+        let addr = self.slot_addr(self.next);
+        let sees_at = Nanos(POLL_CPU_NS) + Fabric::invalidate_cost(addr, SLOT);
+        let cost = fabric
+            .idle_load_latency(self.host, addr, SLOT)
+            .ok()
+            .map(|load| PollCost {
+                sees_at,
+                total: sees_at + load,
+            });
+        self.cost.set(Some((epoch, self.next, cost)));
+        cost
+    }
+
     /// Number of messages consumed so far.
     pub fn consumed(&self) -> u64 {
         self.next
@@ -297,7 +447,7 @@ impl RingReceiver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cxl_fabric::PodConfig;
+    use cxl_fabric::{fabric, PodConfig};
 
     fn setup(cap: u64) -> (Fabric, RingSender, RingReceiver) {
         let mut f = Fabric::new(PodConfig::new(2, 2, 2));
@@ -451,6 +601,123 @@ mod tests {
             PollOutcome::Msg { data, .. } => assert!(data.is_empty()),
             PollOutcome::Empty(_) => panic!("expected empty message"),
         }
+    }
+
+    #[test]
+    fn next_visible_tracks_the_published_slot() {
+        let (mut f, mut tx, mut rx) = setup(4);
+        assert_eq!(rx.next_visible(&f), None, "nothing published");
+        let v = send_ok(&mut f, &mut tx, Nanos(0), b"a");
+        assert_eq!(rx.next_visible(&f), Some(v));
+        // An empty poll before visibility leaves the hint alone.
+        assert!(matches!(
+            rx.poll(&mut f, Nanos(0)),
+            Ok(PollOutcome::Empty(_))
+        ));
+        assert_eq!(rx.next_visible(&f), Some(v));
+        // Once any access lands the store, a poll at any time finds it.
+        f.settle(v);
+        assert_eq!(rx.next_visible(&f), Some(Nanos::ZERO));
+        assert!(matches!(
+            rx.poll(&mut f, Nanos(0)),
+            Ok(PollOutcome::Msg { .. })
+        ));
+        assert_eq!(rx.next_visible(&f), None, "consumed");
+    }
+
+    #[test]
+    fn idle_poll_cost_is_one_empty_poll_on_an_idle_fabric() {
+        let (mut f, _tx, mut rx) = setup(8);
+        let cost = rx.idle_poll_cost(&f).expect("reachable");
+        assert_eq!(cost.sees_at, Nanos(POLL_CPU_NS + fabric::INVALIDATE_NS));
+        let loads = f.stats().loads;
+        for start in [Nanos(1_000), Nanos(50_000)] {
+            match rx.poll(&mut f, start).expect("poll") {
+                PollOutcome::Empty(t) => assert_eq!(t - start, cost.total),
+                PollOutcome::Msg { .. } => panic!("nothing was sent"),
+            }
+        }
+        assert_eq!(f.stats().loads, loads + 2);
+        // Asking costs no fabric access.
+        rx.idle_poll_cost(&f);
+        assert_eq!(f.stats().loads, loads + 2);
+    }
+
+    #[test]
+    fn idle_poll_cost_follows_the_topology() {
+        let (mut f, _tx, rx) = setup(8);
+        let up = rx.idle_poll_cost(&f);
+        assert!(up.is_some());
+        for m in 0..f.topology().mhds() {
+            f.topology_mut().fail_mhd(cxl_fabric::MhdId(m));
+        }
+        assert_eq!(rx.idle_poll_cost(&f), None, "no path while down");
+        for m in 0..f.topology().mhds() {
+            f.topology_mut().restore_mhd(cxl_fabric::MhdId(m));
+        }
+        assert_eq!(rx.idle_poll_cost(&f), up);
+    }
+
+    fn cost(sees: u64, total: u64) -> Option<PollCost> {
+        Some(PollCost {
+            sees_at: Nanos(sees),
+            total: Nanos(total),
+        })
+    }
+
+    #[test]
+    fn plan_skips_to_the_first_pass_that_samples_a_visible_slot() {
+        // Two rings, 200 ns per poll: P = 400. Ring 1 samples at
+        // 222 ns into a pass, so a slot visible at 2000 is first seen
+        // by the pass starting at 1800 (sample 2022), not 1400 (1622).
+        let rings = [(cost(22, 200), None), (cost(22, 200), Some(Nanos(2_000)))];
+        let plan = plan_idle_skip(Nanos(1_000), Nanos(5_000), rings);
+        assert_eq!(plan.resume, Nanos(1_800));
+        assert_eq!(plan.last_sample, Some(Nanos(1_622)));
+        // The earliest of several slots wins.
+        let rings = [
+            (cost(22, 200), Some(Nanos(1_300))),
+            (cost(22, 200), Some(Nanos(2_000))),
+        ];
+        assert_eq!(
+            plan_idle_skip(Nanos(1_000), Nanos(5_000), rings).resume,
+            Nanos(1_400)
+        );
+    }
+
+    #[test]
+    fn plan_runs_a_visible_slot_at_once() {
+        let rings = [(cost(22, 200), Some(Nanos::ZERO))];
+        let plan = plan_idle_skip(Nanos(1_000), Nanos(5_000), rings);
+        assert_eq!(plan.resume, Nanos(1_000));
+        assert_eq!(plan.last_sample, None, "nothing skipped");
+    }
+
+    #[test]
+    fn plan_without_work_ends_on_the_first_boundary_past_until() {
+        let rings = [(cost(22, 200), None), (cost(22, 200), Some(Nanos(9_000)))];
+        assert_eq!(
+            plan_idle_skip(Nanos(1_000), Nanos(5_000), rings).resume,
+            Nanos(5_000)
+        );
+        assert_eq!(
+            plan_idle_skip(Nanos(1_000), Nanos(5_001), rings).resume,
+            Nanos(5_400)
+        );
+    }
+
+    #[test]
+    fn plan_ignores_unreachable_rings() {
+        // The failing ring costs nothing and its slot is never seen.
+        let rings = [(None, Some(Nanos::ZERO)), (cost(22, 200), None)];
+        assert_eq!(
+            plan_idle_skip(Nanos(0), Nanos(1_000), rings).resume,
+            Nanos(1_000)
+        );
+        let rings = [(None, Some(Nanos::ZERO))];
+        let plan = plan_idle_skip(Nanos(0), Nanos(1_000), rings);
+        assert_eq!(plan.resume, Nanos(1_000));
+        assert_eq!(plan.last_sample, None);
     }
 
     #[test]
