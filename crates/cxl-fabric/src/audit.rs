@@ -92,8 +92,10 @@
 //! freed range, so address reuse across domains cannot alias stale
 //! shadow state.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
+use std::rc::Rc;
 
+use simkit::hash::{DetHashMap, DetHashSet};
 use simkit::Nanos;
 
 use crate::params::{CACHELINE, INTERLEAVE_GRANULE};
@@ -186,33 +188,112 @@ impl std::fmt::Display for Actor {
 /// representation is sparse (domain-namespaced indices are far apart),
 /// and zero components are never stored, so structural equality
 /// matches clock equality.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct VClock(BTreeMap<usize, u64>);
+///
+/// A clock is an immutable snapshot behind an `Rc`: cloning one (a
+/// release snapshot into a pending write, a write clock onto every line
+/// it covers, a view clock into a host's cached copy) bumps a refcount
+/// instead of copying components. [`VClock::join`] and the actor's own
+/// tick copy on write, and a join that adds nothing copies nothing. The
+/// components are a vector sorted by index, so [`VClock::leq`] is one
+/// merge walk. The empty clock holds no allocation at all.
+#[derive(Clone, Default)]
+pub struct VClock(Option<Rc<Vec<(usize, u64)>>>);
 
 impl VClock {
+    /// The stored `(index, value)` components, sorted by index, all
+    /// non-zero.
+    fn components(&self) -> &[(usize, u64)] {
+        self.0.as_deref().map_or(&[], Vec::as_slice)
+    }
+
+    /// The components for writing: unshares the snapshot first.
+    fn components_mut(&mut self) -> &mut Vec<(usize, u64)> {
+        Rc::make_mut(self.0.get_or_insert_with(Rc::default))
+    }
+
+    /// True when both clocks share one snapshot (or both are empty).
+    fn same_snapshot(&self, other: &VClock) -> bool {
+        match (&self.0, &other.0) {
+            (Some(a), Some(b)) => Rc::ptr_eq(a, b),
+            (None, None) => true,
+            _ => false,
+        }
+    }
+
     /// The component at index `i`.
     pub fn get(&self, i: usize) -> u64 {
-        self.0.get(&i).copied().unwrap_or(0)
+        let c = self.components();
+        c.binary_search_by_key(&i, |&(j, _)| j)
+            .map_or(0, |k| c[k].1)
     }
 
     /// Advances one component (an actor's own tick).
     fn bump(&mut self, i: usize) {
-        *self.0.entry(i).or_insert(0) += 1;
+        let c = self.components_mut();
+        match c.binary_search_by_key(&i, |&(j, _)| j) {
+            Ok(k) => c[k].1 += 1,
+            Err(k) => c.insert(k, (i, 1)),
+        }
     }
 
     /// Componentwise maximum: the happens-before join.
     pub fn join(&mut self, other: &VClock) {
-        for (&i, &v) in &other.0 {
-            let slot = self.0.entry(i).or_insert(0);
-            if v > *slot {
-                *slot = v;
+        if self.same_snapshot(other) || other.leq(self) {
+            return;
+        }
+        if self.0.is_none() {
+            // Nothing of our own to keep: share the other snapshot.
+            *self = other.clone();
+            return;
+        }
+        let (a, b) = (self.components(), other.components());
+        let mut merged = Vec::with_capacity(a.len() + b.len());
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            let (ia, va) = a[i];
+            let (ib, vb) = b[j];
+            if ia < ib {
+                merged.push(a[i]);
+                i += 1;
+            } else if ib < ia {
+                merged.push(b[j]);
+                j += 1;
+            } else {
+                merged.push((ia, va.max(vb)));
+                i += 1;
+                j += 1;
             }
+        }
+        merged.extend_from_slice(&a[i..]);
+        merged.extend_from_slice(&b[j..]);
+        match self.0.as_mut().and_then(Rc::get_mut) {
+            Some(own) => *own = merged,
+            None => self.0 = Some(Rc::new(merged)),
         }
     }
 
     /// True when `self` happens-before-or-equals `other`.
     pub fn leq(&self, other: &VClock) -> bool {
-        self.0.iter().all(|(&i, &v)| v <= other.get(i))
+        if self.same_snapshot(other) {
+            return true;
+        }
+        let (a, b) = (self.components(), other.components());
+        // Every stored component is non-zero, so a component `other`
+        // lacks cannot be covered.
+        if a.len() > b.len() {
+            return false;
+        }
+        let mut j = 0;
+        for &(i, v) in a {
+            while j < b.len() && b[j].0 < i {
+                j += 1;
+            }
+            match b.get(j) {
+                Some(&(k, w)) if k == i && v <= w => j += 1,
+                _ => return false,
+            }
+        }
+        true
     }
 
     /// True when neither clock is ordered before the other: the two
@@ -222,15 +303,36 @@ impl VClock {
     }
 }
 
+impl PartialEq for VClock {
+    fn eq(&self, other: &VClock) -> bool {
+        self.same_snapshot(other) || self.components() == other.components()
+    }
+}
+
+impl Eq for VClock {}
+
+impl std::fmt::Debug for VClock {
+    /// Formats as an index → value map, `VClock({0: 2, 3: 1})`.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        struct Components<'a>(&'a [(usize, u64)]);
+        impl std::fmt::Debug for Components<'_> {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                f.debug_map()
+                    .entries(self.0.iter().map(|(i, v)| (i, v)))
+                    .finish()
+            }
+        }
+        f.debug_tuple("VClock")
+            .field(&Components(self.components()))
+            .finish()
+    }
+}
+
 impl std::fmt::Display for VClock {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{{")?;
-        let mut first = true;
-        for (&i, &v) in &self.0 {
-            if v == 0 {
-                continue;
-            }
-            if !first {
+        for (n, &(i, v)) in self.components().iter().enumerate() {
+            if n > 0 {
                 write!(f, ", ")?;
             }
             let d = domain_of_index(i);
@@ -239,7 +341,6 @@ impl std::fmt::Display for VClock {
             } else {
                 write!(f, "{}@d{}:{}", Actor::from_index(i), d.0, v)?;
             }
-            first = false;
         }
         write!(f, "}}")
     }
@@ -769,6 +870,19 @@ impl LineTable {
     /// The host's view entry, inserting `seed` (with empty clocks) at
     /// its host-sorted position when absent.
     fn view_or_insert(&mut self, host: u16, key: LineKey, seed: HostView) -> &mut ViewEntry {
+        self.view_or_seed(host, key, seed, false)
+    }
+
+    /// Like [`LineTable::view_or_insert`]; with `seed_clock`, an entry
+    /// without a view clock (audit enabled mid-run) takes the line's
+    /// write clock, shared rather than copied.
+    fn view_or_seed(
+        &mut self,
+        host: u16,
+        key: LineKey,
+        seed: HostView,
+        seed_clock: bool,
+    ) -> &mut ViewEntry {
         let slot = self.slot_mut(key);
         let i = match slot.views.binary_search_by_key(&host, |e| e.host) {
             Ok(i) => i,
@@ -785,7 +899,12 @@ impl LineTable {
                 i
             }
         };
-        &mut slot.views[i]
+        let entry = &mut slot.views[i];
+        if seed_clock && entry.view_clock.is_none() {
+            let wclock = slot.wclock.as_ref().map(|(_, c)| c.clone());
+            entry.view_clock = Some(wclock.unwrap_or_default());
+        }
+        entry
     }
 
     /// Replaces the host's view wholesale (clean fill semantics: any
@@ -915,6 +1034,22 @@ struct PendingEvent {
     lines: Vec<(u64, u64)>,
 }
 
+/// One failure domain's visibility-version counter.
+#[derive(Clone, Copy, Debug)]
+struct VersionCounter {
+    /// The next version to hand out.
+    next: u64,
+    /// The event that drew `next - 1` (0: none yet; event ids start
+    /// at 1), so every line of one event shares its domain's version.
+    event: u64,
+}
+
+impl Default for VersionCounter {
+    fn default() -> VersionCounter {
+        VersionCounter { next: 1, event: 0 }
+    }
+}
+
 /// Dedup identity of a violation (kind + site + parties).
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 enum DedupKey {
@@ -955,18 +1090,19 @@ enum DedupKey {
 pub struct Auditor {
     config: AuditConfig,
     next_event: u64,
-    /// Per-domain visibility version counters: each failure domain has
-    /// its own monotone visibility order (independent devices share
-    /// none), so versions are only ever compared within one domain.
-    next_versions: HashMap<DomainId, u64>,
+    /// Per-domain visibility version counters, indexed by domain id:
+    /// each failure domain has its own monotone visibility order
+    /// (independent devices share none), so versions are only ever
+    /// compared within one domain.
+    next_versions: Vec<VersionCounter>,
     pending: BTreeMap<(Nanos, u64), PendingEvent>,
     pending_seq: u64,
     /// Flat per-line shadow state (line states, write clocks, host
     /// views), indexed by `(domain, la)` arithmetic. Replaces the five
     /// per-line `HashMap`s the auditor started with; see [`LineTable`].
     table: LineTable,
-    events: HashMap<u64, EventMeta>,
-    seen: HashSet<(DomainId, DedupKey)>,
+    events: DetHashMap<u64, EventMeta>,
+    seen: DetHashSet<(DomainId, DedupKey)>,
     report: AuditReport,
     /// Per-actor clocks, indexed by [`Actor::index`] (vector-clock
     /// mode; empty otherwise). Components inside each clock are
@@ -977,7 +1113,21 @@ pub struct Auditor {
     /// on allocation. Addresses outside every mapping resolve to
     /// [`DomainId`]`(0)`.
     domain_map: BTreeMap<u64, (u64, Vec<DomainId>)>,
+    /// Per-op scratch: the op's line keys, resolved once per op and
+    /// reused across ops so the access hooks do not allocate.
+    keys: Vec<LineKey>,
+    /// Per-op scratch: the distinct domains the op touches.
+    doms: Vec<DomainId>,
+    /// Per-load scratch: `(key, version, event)` each line observed.
+    observed: Vec<(LineKey, u64, u64)>,
 }
+
+/// The segment mapping in force at a line: the segment's base, end and
+/// per-granule way domains, `None` when no segment maps the line.
+type Mapping<'a> = Option<(u64, u64, &'a [DomainId])>;
+
+/// The empty clock of an actor that never acted.
+const NO_CLOCK: &VClock = &VClock(None);
 
 fn line_of(addr: u64) -> u64 {
     addr & !(CACHELINE - 1)
@@ -989,11 +1139,104 @@ fn lines_of(hpa: u64, len: u64) -> impl Iterator<Item = u64> {
     (first..=last).step_by(CACHELINE as usize)
 }
 
-/// True if `[hpa, hpa+64)` lies inside any of the given ranges.
-fn in_ranges(ranges: &[(u64, u64)], la: u64) -> bool {
-    ranges
-        .iter()
-        .any(|&(start, end)| la >= start && la + CACHELINE <= end)
+/// True if `[la, la+64)` lies inside one of `ranges`. `ranges` must be
+/// sorted by start with no range nested inside another, as
+/// [`LineRanges::lookup`] hands them out: then the ends ascend too, and
+/// the last range starting at or before `la` reaches furthest of all
+/// candidates, so one binary search decides.
+pub(crate) fn in_ranges(ranges: &[(u64, u64)], la: u64) -> bool {
+    let p = ranges.partition_point(|&(start, _)| start <= la);
+    p > 0 && la + CACHELINE <= ranges[p - 1].1
+}
+
+/// The sorted distinct domains of `keys` into `out` (domain 0 when
+/// `keys` is empty).
+fn distinct_domains(keys: &[LineKey], out: &mut Vec<DomainId>) {
+    out.clear();
+    for &(d, _) in keys {
+        if out.last() != Some(&d) {
+            out.push(d);
+        }
+    }
+    out.sort_unstable();
+    out.dedup();
+    if out.is_empty() {
+        out.push(DomainId(0));
+    }
+}
+
+/// Address ranges registered with the fabric (sync ranges or
+/// tear-tolerant ranges), with an exact binary-searched lookup of
+/// "does this line lie fully inside one registered range".
+///
+/// Ranges are never merged: a line straddling two adjacent ranges lies
+/// inside neither. `all` keeps every registration sorted by
+/// `(start, end)`. `outer` keeps the registrations not nested inside
+/// another one; sorted by start, their ends ascend as well, which is
+/// what lets [`in_ranges`] answer with one binary search. A nested
+/// range never decides a lookup (its outer range covers every line it
+/// covers), but it stays in `all`, since a free may remove its outer
+/// range and leave it in force.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct LineRanges {
+    all: Vec<(u64, u64)>,
+    outer: Vec<(u64, u64)>,
+}
+
+impl LineRanges {
+    /// Registers `[start, end)`.
+    pub(crate) fn insert(&mut self, start: u64, end: u64) {
+        let i = self.all.partition_point(|&r| r <= (start, end));
+        self.all.insert(i, (start, end));
+        // Outer ranges from `q` on start at or after `start`.
+        let q = self.outer.partition_point(|&(s, _)| s < start);
+        let nested = (q > 0 && self.outer[q - 1].1 >= end)
+            || self
+                .outer
+                .get(q)
+                .is_some_and(|&(s, e)| s == start && e >= end);
+        if !nested {
+            // The outer ranges the new one contains: a run from `q`,
+            // since their ends ascend.
+            let k = q + self.outer[q..].partition_point(|&(_, e)| e <= end);
+            self.outer.splice(q..k, [(start, end)]);
+        }
+    }
+
+    /// Drops every registration overlapping `[base, end)`.
+    pub(crate) fn remove_overlapping(&mut self, base: u64, end: u64) {
+        self.all.retain(|&(s, e)| e <= base || s >= end);
+        self.rebuild_outer();
+    }
+
+    /// The ranges to pass to the auditor's lookups.
+    pub(crate) fn lookup(&self) -> &[(u64, u64)] {
+        &self.outer
+    }
+
+    /// Every registration, sorted by `(start, end)`.
+    #[cfg(test)]
+    pub(crate) fn registered(&self) -> &[(u64, u64)] {
+        &self.all
+    }
+
+    fn rebuild_outer(&mut self) {
+        self.outer.clear();
+        for &(s, e) in &self.all {
+            match self.outer.last() {
+                // Inside a range already kept (ends ascend, so the
+                // last kept range reaches furthest).
+                Some(&(_, last_end)) if e <= last_end => {}
+                // Same start, reaches further: the kept one is nested.
+                Some(&(last_start, _)) if last_start == s => {
+                    if let Some(last) = self.outer.last_mut() {
+                        *last = (s, e);
+                    }
+                }
+                _ => self.outer.push((s, e)),
+            }
+        }
+    }
 }
 
 impl Auditor {
@@ -1002,15 +1245,18 @@ impl Auditor {
         Auditor {
             config,
             next_event: 1,
-            next_versions: HashMap::new(),
+            next_versions: Vec::new(),
             pending: BTreeMap::new(),
             pending_seq: 0,
             table: LineTable::default(),
-            events: HashMap::new(),
-            seen: HashSet::new(),
+            events: DetHashMap::default(),
+            seen: DetHashSet::default(),
             report: AuditReport::default(),
             clocks: Vec::new(),
             domain_map: BTreeMap::new(),
+            keys: Vec::new(),
+            doms: Vec::new(),
+            observed: Vec::new(),
         }
     }
 
@@ -1027,16 +1273,29 @@ impl Auditor {
         self.domain_map.insert(base, (end, way_domains));
     }
 
+    /// The segment mapping in force at line `la`.
+    fn mapping_at(&self, la: u64) -> Mapping<'_> {
+        match self.domain_map.range(..=la).next_back() {
+            Some((&base, (end, ways))) if la < *end => Some((base, *end, ways.as_slice())),
+            _ => None,
+        }
+    }
+
+    /// The domain of line `la` under a mapping from [`Auditor::mapping_at`].
+    fn domain_in(mapping: Mapping<'_>, la: u64) -> DomainId {
+        match mapping {
+            Some((base, _, ways)) => {
+                let g = ((la - base) / INTERLEAVE_GRANULE) as usize;
+                ways[g % ways.len()]
+            }
+            None => DomainId(0),
+        }
+    }
+
     /// The failure domain backing cache line `la` under the current
     /// segment mappings.
     fn domain_of_line(&self, la: u64) -> DomainId {
-        if let Some((&base, (end, ways))) = self.domain_map.range(..=la).next_back() {
-            if la < *end {
-                let g = ((la - base) / INTERLEAVE_GRANULE) as usize;
-                return ways[g % ways.len()];
-            }
-        }
-        DomainId(0)
+        Self::domain_in(self.mapping_at(la), la)
     }
 
     /// Shadow-state key of cache line `la`.
@@ -1044,18 +1303,42 @@ impl Auditor {
         (self.domain_of_line(la), la)
     }
 
-    /// The distinct failure domains `[hpa, hpa+len)` touches, in id
-    /// order (never empty: an unmapped range is domain 0).
-    fn domains_of(&self, hpa: u64, len: u64) -> Vec<DomainId> {
-        let mut out: Vec<DomainId> = lines_of(hpa, len)
-            .map(|la| self.domain_of_line(la))
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        if out.is_empty() {
-            out.push(DomainId(0));
+    /// Appends the keys of `lines` to `out`, looking the segment mapping
+    /// up once per run of lines it covers rather than once per line.
+    fn resolve_keys(&self, lines: impl IntoIterator<Item = u64>, out: &mut Vec<LineKey>) {
+        use std::ops::Bound::{Excluded, Unbounded};
+        // The mapping found for the run `[from, until)` of addresses it
+        // decides: up to the segment's end or the next mapping's base.
+        let mut run: Option<(u64, u64, Mapping<'_>)> = None;
+        for la in lines {
+            let mapping = match run {
+                Some((from, until, m)) if from <= la && la < until => m,
+                _ => {
+                    let m = self.mapping_at(la);
+                    let next_base = self
+                        .domain_map
+                        .range((Excluded(la), Unbounded))
+                        .next()
+                        .map_or(u64::MAX, |(&b, _)| b);
+                    let (from, until) = match m {
+                        Some((base, end, _)) => (base, end.min(next_base)),
+                        None => (la, next_base),
+                    };
+                    run = Some((from, until, m));
+                    m
+                }
+            };
+            out.push((Self::domain_in(mapping, la), la));
         }
-        out
+    }
+
+    /// Resolves `lines` into the reusable key scratch; the caller puts
+    /// it back in `self.keys` when the op is done.
+    fn take_keys(&mut self, lines: impl IntoIterator<Item = u64>) -> Vec<LineKey> {
+        let mut keys = std::mem::take(&mut self.keys);
+        keys.clear();
+        self.resolve_keys(lines, &mut keys);
+        keys
     }
 
     /// Findings so far.
@@ -1120,6 +1403,11 @@ impl Auditor {
         &mut self.clocks[i]
     }
 
+    /// The actor's current clock, borrowed (empty if it never acted).
+    fn clock(&self, actor: Actor) -> &VClock {
+        self.clocks.get(actor.index()).unwrap_or(NO_CLOCK)
+    }
+
     /// Advances an actor's own component for one op against failure
     /// domain `domain` (program order within that domain's namespace).
     fn tick(&mut self, actor: Actor, domain: DomainId) {
@@ -1130,17 +1418,24 @@ impl Auditor {
         self.clock_mut(actor).bump(i);
     }
 
-    /// Ticks `actor` once per distinct domain in `domains` (an op
+    /// Ticks `actor` once per distinct domain among `keys` (an op
     /// spanning domains is one program-order step in each namespace).
-    fn tick_all(&mut self, actor: Actor, domains: &[DomainId]) {
-        for &d in domains {
+    fn tick_keys(&mut self, actor: Actor, keys: &[LineKey]) {
+        if !self.vc_on() {
+            return;
+        }
+        let mut doms = std::mem::take(&mut self.doms);
+        distinct_domains(keys, &mut doms);
+        for &d in &doms {
             self.tick(actor, d);
         }
+        self.doms = doms;
     }
 
-    /// The actor's current clock (empty if it never acted).
+    /// The actor's current clock (empty if it never acted): a shared
+    /// snapshot, not a copy.
     fn snapshot(&self, actor: Actor) -> VClock {
-        self.clocks.get(actor.index()).cloned().unwrap_or_default()
+        self.clock(actor).clone()
     }
 
     /// Joins `clock` into `dst`'s clock (an incoming hb edge).
@@ -1183,36 +1478,38 @@ impl Auditor {
         }
     }
 
-    fn apply_event(&mut self, visible_at: Nanos, ev: PendingEvent) {
-        // Resolve each line's domain under the current mappings and
-        // draw one visibility version per touched domain: visibility
-        // order is a per-domain notion (independent devices apply
-        // writes independently), so counters never cross domains.
-        let keyed: Vec<(LineKey, u64)> = ev
-            .lines
-            .iter()
-            .map(|&(la, base)| (self.key_of(la), base))
-            .collect();
-        let mut versions: BTreeMap<DomainId, u64> = BTreeMap::new();
-        for &((d, _), _) in &keyed {
-            versions.entry(d).or_insert_with(|| {
-                let counter = self.next_versions.entry(d).or_insert(1);
-                let v = *counter;
-                *counter += 1;
-                v
-            });
+    /// The visibility version of event `event` in `domain`: the first
+    /// line of an event in a domain draws the domain's next version,
+    /// and its other lines there share it. Visibility order is a
+    /// per-domain notion (independent devices apply writes
+    /// independently), so counters never cross domains.
+    fn version_for(&mut self, domain: DomainId, event: u64) -> u64 {
+        let d = domain.0 as usize;
+        if self.next_versions.len() <= d {
+            self.next_versions.resize(d + 1, VersionCounter::default());
         }
-        let mut covered = Vec::with_capacity(keyed.len());
-        for &(key, base_version) in &keyed {
-            let (_, la) = key;
-            let version = versions[&key.0];
+        let c = &mut self.next_versions[d];
+        if c.event != event {
+            c.event = event;
+            c.next += 1;
+        }
+        c.next - 1
+    }
+
+    fn apply_event(&mut self, visible_at: Nanos, ev: PendingEvent) {
+        // Resolve each line's domain under the current mappings; the
+        // keys become the event's line set.
+        let mut covered = Vec::with_capacity(ev.lines.len());
+        self.resolve_keys(ev.lines.iter().map(|&(la, _)| la), &mut covered);
+        for (&key, &(la, base_version)) in covered.iter().zip(&ev.lines) {
+            let version = self.version_for(key.0, ev.event);
             let cur = self.table.state(key);
             // A newer visible write by someone else landed between this
             // write's base and its visibility: that write is clobbered.
             if let Some(cur) = cur {
                 if cur.version > base_version && cur.writer != ev.writer {
                     self.record(
-                        la,
+                        key,
                         visible_at,
                         ViolationKind::LostWrite {
                             victim: cur.writer,
@@ -1236,7 +1533,7 @@ impl Auditor {
                 if let Some((pactor, pclock)) = self.table.wclock(key).cloned() {
                     if pactor != ev.actor && pclock.concurrent_with(&ev.wclock) {
                         self.record(
-                            la,
+                            key,
                             visible_at,
                             ViolationKind::ConcurrentConflict {
                                 first: pactor,
@@ -1257,6 +1554,7 @@ impl Auditor {
                         );
                     }
                 }
+                // Every covered line shares the event's release snapshot.
                 self.table.set_wclock(key, ev.actor, ev.wclock.clone());
             }
             self.set_line_state(
@@ -1270,7 +1568,6 @@ impl Auditor {
                     visible_at,
                 },
             );
-            covered.push(key);
         }
         self.events.insert(
             ev.event,
@@ -1343,7 +1640,9 @@ impl Auditor {
     /// and whether it was served from the host's cache (`true`) or
     /// fetched fresh from the pool (`false`). `tolerant` holds ranges
     /// where torn reads are by-design (seqlock bodies); `sync` holds
-    /// synchronization ranges where reads are acquire operations.
+    /// synchronization ranges where reads are acquire operations. Both
+    /// are sorted by start with no range nested inside another, as the
+    /// fabric keeps them.
     pub fn on_load(
         &mut self,
         now: Nanos,
@@ -1353,20 +1652,18 @@ impl Auditor {
         sync: &[(u64, u64)],
     ) {
         self.report.ops_audited += 1;
-        let mut doms: Vec<DomainId> = served
-            .iter()
-            .map(|&(la, _)| self.domain_of_line(la))
-            .collect();
-        doms.sort_unstable();
-        doms.dedup();
-        if doms.is_empty() {
-            doms.push(DomainId(0));
+        let vc_on = self.vc_on();
+        let keys = self.take_keys(served.iter().map(|&(la, _)| la));
+        let mut doms = std::mem::take(&mut self.doms);
+        distinct_domains(&keys, &mut doms);
+        for &d in &doms {
+            self.tick(Actor::Cpu(host), d);
         }
-        self.tick_all(Actor::Cpu(host), &doms);
+        let reader = Actor::Cpu(host);
         // (line key, observed version, observed event) per served line.
-        let mut observed: Vec<(LineKey, u64, u64)> = Vec::with_capacity(served.len());
-        for &(la, hit) in served {
-            let key = self.key_of(la);
+        let mut observed = std::mem::take(&mut self.observed);
+        observed.clear();
+        for (&(la, hit), &key) in served.iter().zip(&keys) {
             let cur = self.table.state(key);
             if hit {
                 // Audit enabled mid-run: seed the cached copy as
@@ -1378,22 +1675,7 @@ impl Auditor {
                     dirty_since: Nanos::ZERO,
                     base_version: cur.map(|c| c.version).unwrap_or(0),
                 };
-                let vc_on = self.vc_on();
-                let wc_seed = if vc_on {
-                    Some(
-                        self.table
-                            .wclock(key)
-                            .map(|(_, c)| c.clone())
-                            .unwrap_or_default(),
-                    )
-                } else {
-                    None
-                };
-                let entry = self.table.view_or_insert(host.0, key, seed);
-                if vc_on && entry.view_clock.is_none() {
-                    entry.view_clock = wc_seed;
-                }
-                let view = entry.view;
+                let view = self.table.view_or_seed(host.0, key, seed, vc_on).view;
                 let mut stale = None;
                 if let Some(cur) = cur {
                     // Reading your own dirty merge is read-own-writes;
@@ -1403,18 +1685,18 @@ impl Auditor {
                     }
                 }
                 if let Some(cur) = stale {
-                    if self.vc_on() {
+                    if vc_on {
                         let (wactor, wclock) = self
                             .table
                             .wclock(key)
                             .cloned()
                             .unwrap_or((Actor::Cpu(cur.writer), VClock::default()));
-                        let rclock = self.snapshot(Actor::Cpu(host));
+                        let rclock = self.snapshot(reader);
                         if wclock.leq(&rclock) {
                             // The missed write happens-before this read:
                             // a genuine (precisely ordered) stale read.
                             self.record(
-                                la,
+                                key,
                                 now,
                                 ViolationKind::StaleRead {
                                     reader: host,
@@ -1433,29 +1715,29 @@ impl Auditor {
                             // No edge orders the write before the read:
                             // a race, not definite staleness.
                             self.record(
-                                la,
+                                key,
                                 now,
                                 ViolationKind::ConcurrentConflict {
                                     first: wactor,
                                     first_access: AccessKind::Write,
                                     first_at: cur.written_at,
                                     first_clock: wclock,
-                                    second: Actor::Cpu(host),
+                                    second: reader,
                                     second_access: AccessKind::Read,
                                     second_at: now,
                                     second_clock: rclock,
                                 },
                                 DedupKey::Concurrent {
                                     line: la,
-                                    a: wactor.index().min(Actor::Cpu(host).index()),
-                                    b: wactor.index().max(Actor::Cpu(host).index()),
+                                    a: wactor.index().min(reader.index()),
+                                    b: wactor.index().max(reader.index()),
                                     accesses: (AccessKind::Write, AccessKind::Read),
                                 },
                             );
                         }
                     } else {
                         self.record(
-                            la,
+                            key,
                             now,
                             ViolationKind::StaleRead {
                                 reader: host,
@@ -1471,7 +1753,7 @@ impl Auditor {
                             },
                         );
                     }
-                } else if self.vc_on() && in_ranges(sync, la) {
+                } else if vc_on && in_ranges(sync, la) {
                     // Fresh (or own-dirty) hit on a sync line: acquire
                     // the ordering of the write the copy reflects.
                     let vc = self
@@ -1479,7 +1761,7 @@ impl Auditor {
                         .view_entry(host.0, key)
                         .and_then(|e| e.view_clock.clone());
                     if let Some(vc) = vc {
-                        self.join_from(Actor::Cpu(host), &vc);
+                        self.join_from(reader, &vc);
                     }
                 }
                 observed.push((key, view.version, view.event));
@@ -1493,45 +1775,40 @@ impl Auditor {
                     dirty_since: Nanos::ZERO,
                     base_version: version,
                 };
-                if self.vc_on() {
+                if vc_on {
                     match self.table.wclock(key).cloned() {
                         Some((wactor, wclock)) => {
-                            if in_ranges(sync, la) {
-                                // Acquire: the protocol on this line
-                                // (ring slot, mailbox, seqlock word)
-                                // creates the cross-actor edge.
-                                self.join_from(Actor::Cpu(host), &wclock);
-                            } else {
-                                let rclock = self.snapshot(Actor::Cpu(host));
-                                if wactor != Actor::Cpu(host) && wclock.concurrent_with(&rclock) {
-                                    self.record(
-                                        la,
-                                        now,
-                                        ViolationKind::ConcurrentConflict {
-                                            first: wactor,
-                                            first_access: AccessKind::Write,
-                                            first_at: cur
-                                                .map(|c| c.written_at)
-                                                .unwrap_or(Nanos::ZERO),
-                                            first_clock: wclock.clone(),
-                                            second: Actor::Cpu(host),
-                                            second_access: AccessKind::Read,
-                                            second_at: now,
-                                            second_clock: rclock,
-                                        },
-                                        DedupKey::Concurrent {
-                                            line: la,
-                                            a: wactor.index().min(Actor::Cpu(host).index()),
-                                            b: wactor.index().max(Actor::Cpu(host).index()),
-                                            accesses: (AccessKind::Write, AccessKind::Read),
-                                        },
-                                    );
-                                }
-                                // Join anyway so one unordered publish
-                                // does not cascade into a conflict on
-                                // every later access.
-                                self.join_from(Actor::Cpu(host), &wclock);
+                            if !in_ranges(sync, la)
+                                && wactor != reader
+                                && wclock.concurrent_with(self.clock(reader))
+                            {
+                                self.record(
+                                    key,
+                                    now,
+                                    ViolationKind::ConcurrentConflict {
+                                        first: wactor,
+                                        first_access: AccessKind::Write,
+                                        first_at: cur.map(|c| c.written_at).unwrap_or(Nanos::ZERO),
+                                        first_clock: wclock.clone(),
+                                        second: reader,
+                                        second_access: AccessKind::Read,
+                                        second_at: now,
+                                        second_clock: self.snapshot(reader),
+                                    },
+                                    DedupKey::Concurrent {
+                                        line: la,
+                                        a: wactor.index().min(reader.index()),
+                                        b: wactor.index().max(reader.index()),
+                                        accesses: (AccessKind::Write, AccessKind::Read),
+                                    },
+                                );
                             }
+                            // On a sync line (ring slot, mailbox,
+                            // seqlock word) the join is the protocol's
+                            // acquire edge. Elsewhere it keeps one
+                            // unordered publish from cascading into a
+                            // conflict on every later access.
+                            self.join_from(reader, &wclock);
                             self.table.set_view(host.0, key, fresh, Some(wclock));
                         }
                         None => {
@@ -1548,29 +1825,29 @@ impl Auditor {
         // Torn-read analysis runs per failure domain: versions are a
         // per-domain visibility order, and a load spanning domains has
         // no single order to tear against.
-        let mut by_domain: BTreeMap<DomainId, Vec<(LineKey, u64, u64)>> = BTreeMap::new();
-        for &(key, v, e) in &observed {
-            by_domain.entry(key.0).or_default().push((key, v, e));
-        }
-        for group in by_domain.values() {
-            if group.len() > 1 {
-                self.check_torn(now, host, group, tolerant);
+        if observed.len() > 1 {
+            for &d in &doms {
+                self.check_torn(now, host, &observed, d, tolerant);
             }
         }
+        self.observed = observed;
+        self.doms = doms;
+        self.keys = keys;
     }
 
     /// Flags loads that saw a multi-line write event on one line but an
-    /// older state on another line the same event covered. `observed`
-    /// holds lines of a single failure domain.
+    /// older state on another line the same event covered. Only the
+    /// lines of `observed` in failure domain `domain` take part.
     fn check_torn(
         &mut self,
         now: Nanos,
         host: HostId,
         observed: &[(LineKey, u64, u64)],
+        domain: DomainId,
         tolerant: &[(u64, u64)],
     ) {
-        let Some(&(fresh_key, fresh_version, fresh_event)) =
-            observed.iter().max_by_key(|&&(_, v, _)| v)
+        let group = || observed.iter().filter(|&&((d, _), _, _)| d == domain);
+        let Some(&(fresh_key, fresh_version, fresh_event)) = group().max_by_key(|&&(_, v, _)| v)
         else {
             return;
         };
@@ -1585,20 +1862,22 @@ impl Auditor {
         let fresh_line = fresh_key.1;
         let writer = meta.writer;
         let visible_at = meta.visible_at;
-        let covered: HashSet<LineKey> = meta.lines.iter().copied().collect();
-        let torn: Vec<(u64, u64)> = observed
-            .iter()
-            .filter(|&&(key, v, _)| {
-                key != fresh_key
-                    && v < fresh_version
-                    && covered.contains(&key)
-                    && !in_ranges(tolerant, key.1)
-            })
-            .map(|&(key, v, _)| (key.1, v))
-            .collect();
-        for (stale_line, _) in torn {
+        for &(key, v, _) in group() {
+            // Lines that did not see the fresh write are rare; only
+            // those need the event's line set.
+            let torn = key != fresh_key
+                && v < fresh_version
+                && !in_ranges(tolerant, key.1)
+                && self
+                    .events
+                    .get(&fresh_event)
+                    .is_some_and(|m| m.lines.contains(&key));
+            if !torn {
+                continue;
+            }
+            let stale_line = key.1;
             self.record(
-                stale_line,
+                key,
                 now,
                 ViolationKind::TornRead {
                     reader: host,
@@ -1669,7 +1948,7 @@ impl Auditor {
         let other = self.table.min_dirty_other(host.0, key);
         if let Some((first, first_dirty_since)) = other {
             self.record(
-                la,
+                key,
                 now,
                 ViolationKind::WriteWriteConflict {
                     first,
@@ -1713,8 +1992,11 @@ impl Auditor {
     /// the domains `[hpa, hpa+len)` touches.
     pub fn count_store(&mut self, host: HostId, hpa: u64, len: u64) {
         self.report.ops_audited += 1;
-        let doms = self.domains_of(hpa, len);
-        self.tick_all(Actor::Cpu(host), &doms);
+        if self.vc_on() {
+            let keys = self.take_keys(lines_of(hpa, len));
+            self.tick_keys(Actor::Cpu(host), &keys);
+            self.keys = keys;
+        }
     }
 
     /// Audits a non-temporal store: the writer's own cached lines are
@@ -1722,10 +2004,11 @@ impl Auditor {
     /// write is queued for visibility at `done`.
     pub fn on_nt_store(&mut self, now: Nanos, host: HostId, hpa: u64, len: u64, done: Nanos) {
         self.report.ops_audited += 1;
-        let doms = self.domains_of(hpa, len);
-        self.tick_all(Actor::Cpu(host), &doms);
-        self.discard_for_overwrite(now, host, host, hpa, len);
-        let lines = self.bases_for(hpa, len);
+        let keys = self.take_keys(lines_of(hpa, len));
+        self.tick_keys(Actor::Cpu(host), &keys);
+        self.discard_for_overwrite(now, host, host, hpa, len, &keys);
+        let lines = self.bases_for(&keys);
+        self.keys = keys;
         self.enqueue(now, done, Actor::Cpu(host), WriteKind::NtStore, lines);
     }
 
@@ -1736,10 +2019,11 @@ impl Auditor {
     pub fn on_dma_write(&mut self, now: Nanos, host: HostId, hpa: u64, len: u64, done: Nanos) {
         self.report.ops_audited += 1;
         self.join_actor(Actor::Dma(host), Actor::Cpu(host));
-        let doms = self.domains_of(hpa, len);
-        self.tick_all(Actor::Dma(host), &doms);
-        self.discard_for_overwrite(now, host, host, hpa, len);
-        let lines = self.bases_for(hpa, len);
+        let keys = self.take_keys(lines_of(hpa, len));
+        self.tick_keys(Actor::Dma(host), &keys);
+        self.discard_for_overwrite(now, host, host, hpa, len, &keys);
+        let lines = self.bases_for(&keys);
+        self.keys = keys;
         self.enqueue(now, done, Actor::Dma(host), WriteKind::DmaWrite, lines);
     }
 
@@ -1755,23 +2039,26 @@ impl Auditor {
         done: Nanos,
     ) {
         self.report.ops_audited += 1;
-        let doms = self.domains_of(hpa, len);
-        self.tick_all(Actor::Cpu(host), &doms);
-        let mut published = Vec::with_capacity(dirty.len());
-        for &la in dirty {
-            let key = self.key_of(la);
-            let base = self
-                .table
-                .view_entry(host.0, key)
-                .map(|e| e.view.base_version)
-                .unwrap_or(0);
-            published.push((la, base));
-        }
+        let mut keys = self.take_keys(lines_of(hpa, len));
+        let range = keys.len();
+        self.tick_keys(Actor::Cpu(host), &keys);
+        self.resolve_keys(dirty.iter().copied(), &mut keys);
+        let published: Vec<(u64, u64)> = keys[range..]
+            .iter()
+            .map(|&key| {
+                let base = self
+                    .table
+                    .view_entry(host.0, key)
+                    .map(|e| e.view.base_version)
+                    .unwrap_or(0);
+                (key.1, base)
+            })
+            .collect();
         // clflush semantics: every line in the range leaves the cache.
-        for la in lines_of(hpa, len) {
-            let key = self.key_of(la);
+        for &key in &keys[..range] {
             self.drop_view(host.0, key);
         }
+        self.keys = keys;
         if !published.is_empty() {
             self.enqueue(now, done, Actor::Cpu(host), WriteKind::Flush, published);
         }
@@ -1781,12 +2068,12 @@ impl Auditor {
     /// loses the data.
     pub fn on_invalidate(&mut self, now: Nanos, host: HostId, hpa: u64, len: u64) {
         self.report.ops_audited += 1;
-        for la in lines_of(hpa, len) {
-            let key = self.key_of(la);
+        let keys = self.take_keys(lines_of(hpa, len));
+        for &key in &keys {
             if let Some(view) = self.drop_view(host.0, key) {
                 if view.dirty {
                     self.record(
-                        la,
+                        key,
                         now,
                         ViolationKind::LostWrite {
                             victim: host,
@@ -1795,7 +2082,7 @@ impl Auditor {
                             dirty_since: view.dirty_since,
                         },
                         DedupKey::Lost {
-                            line: la,
+                            line: key.1,
                             victim: host.0,
                             by: host.0,
                             cause: LostWriteCause::InvalidateDiscard,
@@ -1804,6 +2091,7 @@ impl Auditor {
                 }
             }
         }
+        self.keys = keys;
     }
 
     /// Audits a DMA read via attach host `host`: the device sees the
@@ -1811,6 +2099,7 @@ impl Auditor {
     /// line in the range is invisible to it (an unpublished write the
     /// device reads around). In vector-clock mode the read also checks
     /// that the last visible write on each line is ordered before it.
+    /// `sync` is sorted and un-nested, as in [`Auditor::on_load`].
     pub fn on_dma_read(
         &mut self,
         now: Nanos,
@@ -1820,105 +2109,107 @@ impl Auditor {
         sync: &[(u64, u64)],
     ) {
         self.report.ops_audited += 1;
-        self.join_actor(Actor::Dma(host), Actor::Cpu(host));
-        let doms = self.domains_of(hpa, len);
-        self.tick_all(Actor::Dma(host), &doms);
-        for la in lines_of(hpa, len) {
-            let key = self.key_of(la);
+        let vc_on = self.vc_on();
+        let reader = Actor::Dma(host);
+        self.join_actor(reader, Actor::Cpu(host));
+        let keys = self.take_keys(lines_of(hpa, len));
+        self.tick_keys(reader, &keys);
+        for &key in &keys {
+            let la = key.1;
             // Lowest dirty host wins, as in on_store: the reported
             // writer is deterministic because the slot's views are
             // host-sorted.
             let remote_dirty = self.table.min_dirty_other(host.0, key);
             if let Some((writer, dirty_since)) = remote_dirty {
-                if self.vc_on() {
+                if vc_on {
                     let dclock = self
                         .table
                         .view_entry(writer.0, key)
                         .and_then(|e| e.dirty_clock.clone())
                         .unwrap_or_default();
-                    let rclock = self.snapshot(Actor::Dma(host));
-                    if dclock.leq(&rclock) {
+                    if dclock.leq(self.clock(reader)) {
                         // The store happens-before the DMA yet was never
                         // published: the device definitely reads around
                         // it.
-                        self.record_dma_stale(la, now, host, writer, dirty_since);
+                        self.record_dma_stale(key, now, host, writer, dirty_since);
                     } else {
                         // Unpublished store racing the DMA read.
                         self.record(
-                            la,
+                            key,
                             now,
                             ViolationKind::ConcurrentConflict {
                                 first: Actor::Cpu(writer),
                                 first_access: AccessKind::Write,
                                 first_at: dirty_since,
                                 first_clock: dclock,
-                                second: Actor::Dma(host),
+                                second: reader,
                                 second_access: AccessKind::Read,
                                 second_at: now,
-                                second_clock: rclock,
+                                second_clock: self.snapshot(reader),
                             },
                             DedupKey::Concurrent {
                                 line: la,
-                                a: Actor::Cpu(writer).index().min(Actor::Dma(host).index()),
-                                b: Actor::Cpu(writer).index().max(Actor::Dma(host).index()),
+                                a: Actor::Cpu(writer).index().min(reader.index()),
+                                b: Actor::Cpu(writer).index().max(reader.index()),
                                 accesses: (AccessKind::Write, AccessKind::Read),
                             },
                         );
                     }
                 } else {
-                    self.record_dma_stale(la, now, host, writer, dirty_since);
+                    self.record_dma_stale(key, now, host, writer, dirty_since);
                 }
             }
-            if self.vc_on() {
+            if vc_on {
                 if let Some((wactor, wclock)) = self.table.wclock(key).cloned() {
-                    if in_ranges(sync, la) {
-                        self.join_from(Actor::Dma(host), &wclock);
-                    } else {
-                        let rclock = self.snapshot(Actor::Dma(host));
-                        if wactor != Actor::Dma(host) && wclock.concurrent_with(&rclock) {
-                            let written_at = self
-                                .table
-                                .state(key)
-                                .map(|c| c.written_at)
-                                .unwrap_or(Nanos::ZERO);
-                            self.record(
-                                la,
-                                now,
-                                ViolationKind::ConcurrentConflict {
-                                    first: wactor,
-                                    first_access: AccessKind::Write,
-                                    first_at: written_at,
-                                    first_clock: wclock.clone(),
-                                    second: Actor::Dma(host),
-                                    second_access: AccessKind::Read,
-                                    second_at: now,
-                                    second_clock: rclock,
-                                },
-                                DedupKey::Concurrent {
-                                    line: la,
-                                    a: wactor.index().min(Actor::Dma(host).index()),
-                                    b: wactor.index().max(Actor::Dma(host).index()),
-                                    accesses: (AccessKind::Write, AccessKind::Read),
-                                },
-                            );
-                        }
-                        self.join_from(Actor::Dma(host), &wclock);
+                    if !in_ranges(sync, la)
+                        && wactor != reader
+                        && wclock.concurrent_with(self.clock(reader))
+                    {
+                        let written_at = self
+                            .table
+                            .state(key)
+                            .map(|c| c.written_at)
+                            .unwrap_or(Nanos::ZERO);
+                        self.record(
+                            key,
+                            now,
+                            ViolationKind::ConcurrentConflict {
+                                first: wactor,
+                                first_access: AccessKind::Write,
+                                first_at: written_at,
+                                first_clock: wclock.clone(),
+                                second: reader,
+                                second_access: AccessKind::Read,
+                                second_at: now,
+                                second_clock: self.snapshot(reader),
+                            },
+                            DedupKey::Concurrent {
+                                line: la,
+                                a: wactor.index().min(reader.index()),
+                                b: wactor.index().max(reader.index()),
+                                accesses: (AccessKind::Write, AccessKind::Read),
+                            },
+                        );
                     }
+                    // Acquire on a sync line; elsewhere the join keeps
+                    // one race from cascading, as in `on_load`.
+                    self.join_from(reader, &wclock);
                 }
             }
         }
+        self.keys = keys;
     }
 
     fn record_dma_stale(
         &mut self,
-        la: u64,
+        key: LineKey,
         now: Nanos,
         host: HostId,
         writer: HostId,
         dirty_since: Nanos,
     ) {
         self.record(
-            la,
+            key,
             now,
             ViolationKind::StaleRead {
                 reader: host,
@@ -1929,9 +2220,9 @@ impl Auditor {
                 visible_at: dirty_since,
             },
             DedupKey::Stale {
-                line: la,
+                line: key.1,
                 reader: host.0,
-                event: u64::MAX ^ la,
+                event: u64::MAX ^ key.1,
             },
         );
     }
@@ -2024,8 +2315,9 @@ impl Auditor {
 
     /// Records an [`ViolationKind::UnflushedWrite`] found by finalize.
     pub fn record_unflushed(&mut self, now: Nanos, writer: HostId, la: u64, dirty_since: Nanos) {
+        let key = self.key_of(la);
         self.record(
-            la,
+            key,
             now,
             ViolationKind::UnflushedWrite {
                 writer,
@@ -2043,8 +2335,8 @@ impl Auditor {
     // ---------------------------------------------------------------
 
     /// Drops `by`'s (== the overwriting host's) cached lines in the
-    /// overwritten range, reporting dirty bytes the overwrite does not
-    /// fully replace.
+    /// overwritten range `[hpa, hpa+len)`, whose line keys are `keys`,
+    /// reporting dirty bytes the overwrite does not fully replace.
     fn discard_for_overwrite(
         &mut self,
         now: Nanos,
@@ -2052,15 +2344,16 @@ impl Auditor {
         by: HostId,
         hpa: u64,
         len: u64,
+        keys: &[LineKey],
     ) {
         let end = hpa + len;
-        for la in lines_of(hpa, len) {
-            let key = self.key_of(la);
+        for &key in keys {
+            let la = key.1;
             if let Some(view) = self.drop_view(victim.0, key) {
                 let fully_covered = hpa <= la && la + CACHELINE <= end;
                 if view.dirty && !fully_covered {
                     self.record(
-                        la,
+                        key,
                         now,
                         ViolationKind::LostWrite {
                             victim,
@@ -2080,23 +2373,20 @@ impl Auditor {
         }
     }
 
-    /// The (line, current-version) base pairs an overwrite of
-    /// `[hpa, hpa+len)` is derived from.
-    fn bases_for(&self, hpa: u64, len: u64) -> Vec<(u64, u64)> {
-        lines_of(hpa, len)
-            .map(|la| {
-                let base = self
-                    .table
-                    .state(self.key_of(la))
-                    .map(|c| c.version)
-                    .unwrap_or(0);
-                (la, base)
+    /// The (line, current-version) base pairs an overwrite of the lines
+    /// `keys` is derived from.
+    fn bases_for(&self, keys: &[LineKey]) -> Vec<(u64, u64)> {
+        keys.iter()
+            .map(|&key| {
+                let base = self.table.state(key).map(|c| c.version).unwrap_or(0);
+                (key.1, base)
             })
             .collect()
     }
 
-    fn record(&mut self, line: u64, detected_at: Nanos, kind: ViolationKind, key: DedupKey) {
-        let domain = self.domain_of_line(line);
+    /// Counts and (deduplicated, under the cap) records one violation
+    /// detected on line `key`.
+    fn record(&mut self, key: LineKey, detected_at: Nanos, kind: ViolationKind, dedup: DedupKey) {
         match &kind {
             ViolationKind::StaleRead { .. } => self.report.counts.stale_reads += 1,
             ViolationKind::TornRead { .. } => self.report.counts.torn_reads += 1,
@@ -2107,14 +2397,14 @@ impl Auditor {
                 self.report.counts.concurrent_conflicts += 1
             }
         }
-        if !self.seen.insert((domain, key))
+        if !self.seen.insert((key.0, dedup))
             || self.report.violations.len() >= self.config.max_recorded
         {
             self.report.suppressed += 1;
             return;
         }
         self.report.violations.push(Violation {
-            line,
+            line: key.1,
             detected_at,
             kind,
         });
@@ -2124,6 +2414,7 @@ impl Auditor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     const L: u64 = CACHELINE;
 
@@ -2575,6 +2866,38 @@ mod tests {
         assert_eq!(a.domain_of_line(4 * INTERLEAVE_GRANULE), DomainId(0));
     }
 
+    /// Resolving a whole op's lines at once, one mapping lookup per run,
+    /// gives every line the key a per-line lookup gives it, also across
+    /// adjacent, overlapping and unmapped stretches.
+    #[test]
+    fn run_resolved_keys_match_per_line_lookup() {
+        use simkit::rng::Rng;
+
+        let mut rng = Rng::new(9);
+        let mut a = Auditor::new(ver());
+        let g = INTERLEAVE_GRANULE;
+        for _ in 0..40 {
+            let base = rng.below(64) * g / 2;
+            let end = base + (rng.below(12) + 1) * g / 2;
+            let ways = (0..rng.below(3) + 1)
+                .map(|_| DomainId(rng.below(3) as u16))
+                .collect();
+            a.map_segment(base, end, ways);
+            for _ in 0..8 {
+                let lines: Vec<u64> = if rng.chance(0.5) {
+                    let first = rng.below(40 * g / L) * L;
+                    lines_of(first, (rng.below(64) + 1) * L).collect()
+                } else {
+                    (0..6).map(|_| rng.below(40 * g / L) * L).collect()
+                };
+                let mut keys = Vec::new();
+                a.resolve_keys(lines.iter().copied(), &mut keys);
+                let expect: Vec<LineKey> = lines.iter().map(|&la| a.key_of(la)).collect();
+                assert_eq!(keys, expect);
+            }
+        }
+    }
+
     #[test]
     fn per_domain_versions_do_not_cross() {
         let mut a = Auditor::new(ver());
@@ -2588,6 +2911,31 @@ mod tests {
         a.on_load(Nanos(60), HostId(1), &[(far, false)], &[], &[]);
         a.on_load(Nanos(70), HostId(1), &[(far, true)], &[], &[]);
         assert!(a.report().is_clean(), "{}", a.report().render());
+    }
+
+    #[test]
+    fn one_write_is_one_version_per_domain() {
+        let mut a = Auditor::new(ver());
+        // Granules alternate domains: the write covers lines of both.
+        a.map_segment(0, 4 * INTERLEAVE_GRANULE, vec![DomainId(0), DomainId(1)]);
+        let len = INTERLEAVE_GRANULE + 2 * L;
+        a.on_nt_store(Nanos(0), HostId(0), 0, len, Nanos(100));
+        a.advance(Nanos(100));
+        let version = |a: &Auditor, la: u64| a.table.state(a.key_of(la)).map(|s| s.version);
+        for la in lines_of(0, len) {
+            assert_eq!(version(&a, la), Some(1), "line {la:#x}");
+        }
+        // Reading the whole write back is not a torn read.
+        let served: Vec<(u64, bool)> = lines_of(0, len).map(|la| (la, false)).collect();
+        a.on_load(Nanos(200), HostId(1), &served, &[], &[]);
+        assert!(a.report().is_clean(), "{}", a.report().render());
+        // Each domain's counter moves on by one per event.
+        a.on_nt_store(Nanos(300), HostId(0), 0, 2 * L, Nanos(400));
+        a.on_nt_store(Nanos(310), HostId(0), INTERLEAVE_GRANULE, L, Nanos(410));
+        a.advance(Nanos(500));
+        assert_eq!(version(&a, L), Some(2));
+        assert_eq!(version(&a, INTERLEAVE_GRANULE), Some(2));
+        assert_eq!(version(&a, 2 * L), Some(1));
     }
 
     #[test]
@@ -2610,6 +2958,253 @@ mod tests {
         assert!(a.report().is_clean(), "{}", a.report().render());
         let rr = a.race_report();
         assert_eq!(rr.line_clocks.len(), 1, "only the new tenant's write");
+    }
+
+    // -----------------------------------------------------------------
+    // Shared-snapshot VClock vs BTreeMap reference
+    // -----------------------------------------------------------------
+
+    /// The `BTreeMap` clock `VClock` used before it became a shared
+    /// sorted snapshot, kept as the reference model: each method is the
+    /// old implementation.
+    #[derive(Clone, Debug, Default, PartialEq)]
+    struct RefClock(BTreeMap<usize, u64>);
+
+    impl RefClock {
+        fn get(&self, i: usize) -> u64 {
+            self.0.get(&i).copied().unwrap_or(0)
+        }
+
+        fn bump(&mut self, i: usize) {
+            *self.0.entry(i).or_insert(0) += 1;
+        }
+
+        fn join(&mut self, other: &RefClock) {
+            for (&i, &v) in &other.0 {
+                let slot = self.0.entry(i).or_insert(0);
+                if v > *slot {
+                    *slot = v;
+                }
+            }
+        }
+
+        fn leq(&self, other: &RefClock) -> bool {
+            self.0.iter().all(|(&i, &v)| v <= other.get(i))
+        }
+
+        fn concurrent_with(&self, other: &RefClock) -> bool {
+            !self.leq(other) && !other.leq(self)
+        }
+
+        fn render(&self) -> String {
+            let parts: Vec<String> = self
+                .0
+                .iter()
+                .filter(|(_, &v)| v != 0)
+                .map(|(&i, &v)| {
+                    let d = domain_of_index(i);
+                    if d == DomainId(0) {
+                        format!("{}:{}", Actor::from_index(i), v)
+                    } else {
+                        format!("{}@d{}:{}", Actor::from_index(i), d.0, v)
+                    }
+                })
+                .collect();
+            format!("{{{}}}", parts.join(", "))
+        }
+    }
+
+    /// Every query the auditor makes agrees between a clock and its
+    /// reference model.
+    fn assert_clock_eq(c: &VClock, r: &RefClock, indices: &[usize], ctx: &str) {
+        for &i in indices {
+            assert_eq!(c.get(i), r.get(i), "{ctx}: get({i})");
+        }
+        assert_eq!(c.to_string(), r.render(), "{ctx}: display");
+        assert_eq!(*c == VClock::default(), r.0.is_empty(), "{ctx}: empty");
+    }
+
+    /// The shared-snapshot `VClock` answers exactly like the `BTreeMap`
+    /// clock it replaced over a seeded random mix of bumps, joins
+    /// (including self-joins and joins of shared snapshots), clones and
+    /// comparisons, and a snapshot never changes after it is taken:
+    /// neither when its source moves on nor when a clone of it does.
+    #[test]
+    fn vclock_matches_btreemap_reference_model() {
+        use simkit::rng::Rng;
+
+        // Components in three domain namespaces, CPU and DMA actors.
+        let indices: Vec<usize> = (0..3u16)
+            .flat_map(|d| {
+                (0..3u16).flat_map(move |h| {
+                    [Actor::Cpu(HostId(h)), Actor::Dma(HostId(h))].map(|a| a.index_in(DomainId(d)))
+                })
+            })
+            .collect();
+        for seed in [3u64, 11, 42, 0xBEEF] {
+            let mut rng = Rng::new(seed);
+            let mut clocks: Vec<(VClock, RefClock)> = vec![Default::default(); 6];
+            let mut frozen: Vec<(VClock, RefClock)> = Vec::new();
+            for step in 0..1500 {
+                let a = rng.below(clocks.len() as u64) as usize;
+                let b = rng.below(clocks.len() as u64) as usize;
+                match rng.below(8) {
+                    0..=2 => {
+                        let i = indices[rng.below(indices.len() as u64) as usize];
+                        clocks[a].0.bump(i);
+                        clocks[a].1.bump(i);
+                    }
+                    3 | 4 => {
+                        let (oc, or) = clocks[b].clone();
+                        clocks[a].0.join(&oc);
+                        clocks[a].1.join(&or);
+                    }
+                    5 => clocks[a] = clocks[b].clone(),
+                    // Freeze a snapshot; a few live at a time.
+                    6 if frozen.len() < 8 => frozen.push(clocks[a].clone()),
+                    6 => frozen[b] = clocks[a].clone(),
+                    _ => clocks[a] = Default::default(),
+                }
+                let ctx = format!("seed {seed} step {step}");
+                for (x, (cx, rx)) in clocks.iter().enumerate() {
+                    assert_clock_eq(cx, rx, &indices, &ctx);
+                    for (cy, ry) in &clocks {
+                        assert_eq!(cx.leq(cy), rx.leq(ry), "{ctx}: leq from {x}");
+                        assert_eq!(
+                            cx.concurrent_with(cy),
+                            rx.concurrent_with(ry),
+                            "{ctx}: concurrent_with from {x}"
+                        );
+                        assert_eq!(cx == cy, rx == ry, "{ctx}: == from {x}");
+                    }
+                }
+                for (cf, rf) in &frozen {
+                    assert_clock_eq(cf, rf, &indices, &format!("{ctx} frozen"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn vclock_snapshots_are_isolated_and_noop_joins_share() {
+        let (i, j) = (Actor::Cpu(HostId(0)).index(), Actor::Dma(HostId(1)).index());
+        let mut src = VClock::default();
+        src.bump(i);
+        // A snapshot keeps its value when the source bumps or joins on.
+        let snap = src.clone();
+        assert!(snap.same_snapshot(&src), "clone shares the snapshot");
+        src.bump(i);
+        let mut other = VClock::default();
+        other.bump(j);
+        src.join(&other);
+        assert_eq!((snap.get(i), snap.get(j)), (1, 0));
+        assert_eq!((src.get(i), src.get(j)), (2, 1));
+        // And the reverse: moving a clone on leaves the source alone.
+        let mut copy = src.clone();
+        copy.bump(j);
+        copy.join(&clk(Actor::Cpu(HostId(2)).index(), 4));
+        assert_eq!((src.get(i), src.get(j)), (2, 1));
+        assert_eq!(src.get(Actor::Cpu(HostId(2)).index()), 0);
+        // A join that adds nothing copies nothing.
+        let before = src.clone();
+        src.join(&snap);
+        src.join(&before);
+        src.join(&VClock::default());
+        assert!(src.same_snapshot(&before), "no-op join must not copy");
+        // Joining into an empty clock shares the other snapshot.
+        let mut empty = VClock::default();
+        empty.join(&src);
+        assert!(empty.same_snapshot(&src));
+    }
+
+    #[test]
+    fn vclock_debug_reads_as_an_index_map() {
+        let mut c = VClock::default();
+        c.bump(3);
+        c.bump(0);
+        c.bump(3);
+        assert_eq!(format!("{c:?}"), "VClock({0: 1, 3: 2})");
+        assert_eq!(format!("{:?}", VClock::default()), "VClock({})");
+    }
+
+    // -----------------------------------------------------------------
+    // Binary-searched range lookup vs linear scan
+    // -----------------------------------------------------------------
+
+    /// The linear scan `in_ranges` used to be: the line lies fully
+    /// inside one registered range.
+    fn in_ranges_linear(ranges: &[(u64, u64)], la: u64) -> bool {
+        ranges
+            .iter()
+            .any(|&(start, end)| la >= start && la + CACHELINE <= end)
+    }
+
+    /// Binary search over the un-nested ranges answers exactly like a
+    /// linear scan over every registration, on random nested, adjacent,
+    /// duplicate and line-straddling ranges, through inserts and
+    /// overlap removals.
+    #[test]
+    fn line_ranges_lookup_matches_linear_scan() {
+        use simkit::rng::Rng;
+
+        const SPAN: u64 = 4096;
+        for seed in [1u64, 5, 42, 0xFACE] {
+            let mut rng = Rng::new(seed);
+            let mut set = LineRanges::default();
+            let mut model: Vec<(u64, u64)> = Vec::new();
+            for step in 0..600 {
+                match rng.below(6) {
+                    // Remove every range overlapping a random window.
+                    0 => {
+                        let base = rng.below(SPAN / 16) * 16;
+                        let end = base + (rng.below(32) + 1) * 16;
+                        set.remove_overlapping(base, end);
+                        model.retain(|&(s, e)| e <= base || s >= end);
+                    }
+                    // Re-register an existing range: a duplicate.
+                    1 if !model.is_empty() => {
+                        let r = model[rng.below(model.len() as u64) as usize];
+                        set.insert(r.0, r.1);
+                        model.push(r);
+                    }
+                    // A range nested in, or adjacent to, an existing one.
+                    2 if !model.is_empty() => {
+                        let (s, e) = model[rng.below(model.len() as u64) as usize];
+                        let r = if rng.chance(0.5) && e - s > 16 {
+                            let lo = s + rng.below((e - s) / 16) * 16;
+                            (lo, lo + (rng.below((e - lo) / 16) + 1) * 16)
+                        } else {
+                            (e, e + (rng.below(16) + 1) * 16)
+                        };
+                        set.insert(r.0, r.1);
+                        model.push(r);
+                    }
+                    // A fresh range; 16-byte granularity makes ranges
+                    // that straddle line boundaries common.
+                    _ => {
+                        let s = rng.below(SPAN / 16) * 16;
+                        let r = (s, s + (rng.below(40) + 1) * 16);
+                        set.insert(r.0, r.1);
+                        model.push(r);
+                    }
+                }
+                let mut sorted = model.clone();
+                sorted.sort_unstable();
+                assert_eq!(set.registered(), sorted, "seed {seed} step {step}");
+                let outer = set.lookup();
+                assert!(
+                    outer.windows(2).all(|w| w[0].0 < w[1].0 && w[0].1 < w[1].1),
+                    "seed {seed} step {step}: lookup ranges not a chain: {outer:?}"
+                );
+                for la in (0..SPAN + 1024).step_by(CACHELINE as usize) {
+                    assert_eq!(
+                        in_ranges(outer, la),
+                        in_ranges_linear(&model, la),
+                        "seed {seed} step {step} line {la:#x}"
+                    );
+                }
+            }
+        }
     }
 
     // -----------------------------------------------------------------

@@ -19,7 +19,7 @@ use simkit::Nanos;
 
 use crate::alloc::{DomainPlacement, PoolAllocator, Segment, SegmentId};
 use crate::audit::{
-    Actor, AuditConfig, AuditReport, Auditor, RaceReport, Violation, ViolationKind,
+    Actor, AuditConfig, AuditReport, Auditor, LineRanges, RaceReport, Violation, ViolationKind,
 };
 use crate::cache::{CacheStats, Eviction, HostCache, LoadOutcome};
 use crate::error::FabricError;
@@ -142,12 +142,12 @@ pub struct Fabric {
     /// Ranges where torn multi-line reads are tolerated by protocol
     /// design (seqlock bodies). Kept even while auditing is off so a
     /// later [`Fabric::enable_audit`] still honours them.
-    tear_tolerant: Vec<(u64, u64)>,
+    tear_tolerant: LineRanges,
     /// Ranges holding synchronization protocol state (ring slots,
     /// mailboxes, seqlock words): reads there are acquire operations
     /// in the vector-clock model. Kept even while auditing is off, as
     /// with `tear_tolerant`.
-    sync_ranges: Vec<(u64, u64)>,
+    sync_ranges: LineRanges,
     /// Opt-in flight recorder (see [`simkit::trace`]); boxed so the
     /// disabled fast path pays one pointer, mirroring `audit`.
     trace: Option<Box<TraceRecorder>>,
@@ -212,8 +212,8 @@ impl Fabric {
             topology,
             stats: AccessStats::default(),
             audit: None,
-            tear_tolerant: Vec::new(),
-            sync_ranges: Vec::new(),
+            tear_tolerant: LineRanges::default(),
+            sync_ranges: LineRanges::default(),
             trace: None,
             metrics: None,
             spread_scratch: Vec::new(),
@@ -291,7 +291,7 @@ impl Fabric {
     /// auditor does not report them.
     pub fn mark_tear_tolerant(&mut self, hpa: u64, len: u64) {
         if len > 0 {
-            self.tear_tolerant.push((hpa, hpa + len));
+            self.tear_tolerant.insert(hpa, hpa + len);
         }
     }
 
@@ -302,7 +302,7 @@ impl Fabric {
     /// Registered by the shmem channel/mailbox/seqlock constructors.
     pub fn mark_sync_range(&mut self, hpa: u64, len: u64) {
         if len > 0 {
-            self.sync_ranges.push((hpa, hpa + len));
+            self.sync_ranges.insert(hpa, hpa + len);
         }
     }
 
@@ -537,8 +537,8 @@ impl Fabric {
     pub fn free_segment(&mut self, id: SegmentId) -> Result<(), FabricError> {
         if let Some(seg) = self.alloc.segment(id) {
             let (base, end) = (seg.base(), seg.end());
-            self.tear_tolerant.retain(|&(s, e)| e <= base || s >= end);
-            self.sync_ranges.retain(|&(s, e)| e <= base || s >= end);
+            self.tear_tolerant.remove_overlapping(base, end);
+            self.sync_ranges.remove_overlapping(base, end);
             if let Some(a) = self.audit.as_deref_mut() {
                 a.on_segment_free(base, end);
             }
@@ -634,7 +634,13 @@ impl Fabric {
             }
         }
         if let Some(a) = self.audit.as_deref_mut() {
-            a.on_load(now, host, &served, &self.tear_tolerant, &self.sync_ranges);
+            a.on_load(
+                now,
+                host,
+                &served,
+                self.tear_tolerant.lookup(),
+                self.sync_ranges.lookup(),
+            );
         }
         self.sync_trace_audit();
         if missed_lines.is_empty() {
@@ -906,7 +912,7 @@ impl Fabric {
         self.stats.dma_reads += 1;
         self.stats.bytes_read += len;
         if let Some(a) = self.audit.as_deref_mut() {
-            a.on_dma_read(now, host, hpa, len, &self.sync_ranges);
+            a.on_dma_read(now, host, hpa, len, self.sync_ranges.lookup());
         }
 
         self.pool.read(hpa, buf);
@@ -1574,5 +1580,77 @@ mod tests {
         f.peek_settled(seg.base(), &mut buf);
         assert_eq!(buf, [2u8; 64]);
         assert!(d2 > d1);
+    }
+
+    /// Sync and tear-tolerant ranges registered inside live segments
+    /// stay sorted through `free_segment`, and the binary-searched
+    /// lookup the auditor receives matches a linear scan over every
+    /// surviving registration, nested, adjacent and duplicate ones
+    /// included.
+    #[test]
+    fn free_segment_keeps_ranges_sorted_and_lookups_exact() {
+        use simkit::rng::Rng;
+
+        let in_any = |ranges: &[(u64, u64)], la: u64| {
+            ranges.iter().any(|&(s, e)| la >= s && la + CACHELINE <= e)
+        };
+        let mut rng = Rng::new(42);
+        let mut f = pod();
+        let mut live = Vec::new();
+        let mut sync: Vec<(u64, u64)> = Vec::new();
+        let mut tolerant: Vec<(u64, u64)> = Vec::new();
+        for round in 0..40 {
+            if live.len() < 4 || rng.chance(0.6) {
+                let seg = f
+                    .alloc_shared(&[HostId(0), HostId(1)], 4096)
+                    .expect("alloc");
+                let base = seg.base();
+                for _ in 0..6 {
+                    let start = base + rng.below(4096 / 32) * 32;
+                    let len = (rng.below(16) + 1) * 32;
+                    let len = len.min(base + 4096 - start);
+                    let model = if rng.chance(0.5) {
+                        f.mark_sync_range(start, len);
+                        &mut sync
+                    } else {
+                        f.mark_tear_tolerant(start, len);
+                        &mut tolerant
+                    };
+                    model.push((start, start + len));
+                    // Nested and duplicate registrations.
+                    if rng.chance(0.3) {
+                        f.mark_sync_range(start, len);
+                        sync.push((start, start + len));
+                        f.mark_sync_range(start + 32, len.saturating_sub(64));
+                        if len > 64 {
+                            sync.push((start + 32, start + len - 32));
+                        }
+                    }
+                }
+                live.push(seg);
+            } else {
+                let seg = live.swap_remove(rng.below(live.len() as u64) as usize);
+                let (base, end) = (seg.base(), seg.end());
+                f.free_segment(seg.id()).expect("free");
+                sync.retain(|&(s, e)| e <= base || s >= end);
+                tolerant.retain(|&(s, e)| e <= base || s >= end);
+            }
+            for (set, model) in [
+                (&f.sync_ranges, &mut sync),
+                (&f.tear_tolerant, &mut tolerant),
+            ] {
+                model.sort_unstable();
+                assert_eq!(set.registered(), model.as_slice(), "round {round}");
+                for seg in &live {
+                    for la in (seg.base()..seg.end()).step_by(CACHELINE as usize) {
+                        assert_eq!(
+                            crate::audit::in_ranges(set.lookup(), la),
+                            in_any(model, la),
+                            "round {round} line {la:#x}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }
