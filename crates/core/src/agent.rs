@@ -17,8 +17,10 @@ use std::collections::HashMap;
 use cxl_fabric::{Fabric, HostId};
 use pcie_sim::nic::TxFrame;
 use pcie_sim::{Accelerator, BufRef, DeviceError, DeviceId, Nic, Ssd};
-use shmem::channel::{skip_idle_passes, ChannelReceiver, ChannelSend, ChannelSender};
-use shmem::ring::PollOutcome;
+use shmem::channel::{
+    plan_idle_passes, skip_idle_passes, ChannelReceiver, ChannelSend, ChannelSender,
+};
+use shmem::ring::{IdleSkip, PollOutcome};
 use simkit::trace::{self, Track};
 use simkit::Nanos;
 
@@ -40,15 +42,6 @@ pub struct Link {
     pub tx: ChannelSender,
     /// Receiver from the peer.
     pub rx: ChannelReceiver,
-}
-
-/// The uncontended cost of one empty poll pass over `links`: the sum of
-/// their idle poll costs (a link whose poll would fail costs nothing).
-pub(crate) fn idle_pass_cost<'a>(fabric: &Fabric, links: impl Iterator<Item = &'a Link>) -> Nanos {
-    links
-        .filter_map(|l| l.rx.idle_poll_cost(fabric))
-        .map(|c| c.total)
-        .sum()
 }
 
 /// A completed forwarded operation, as recorded by the *requesting*
@@ -311,10 +304,22 @@ impl Agent {
         }
     }
 
-    /// The uncontended cost of one empty poll pass over this agent's
-    /// links (see [`skip_idle_passes`]).
-    pub fn idle_pass_cost(&self, fabric: &Fabric) -> Nanos {
-        idle_pass_cost(fabric, self.links.iter().map(|(_, l)| l))
+    /// The agent's idle plan toward `until` ([`plan_idle_passes`] over
+    /// its links): when its next pass through the fabric starts, what
+    /// an empty pass costs and when the earliest published slot becomes
+    /// visible. A pending orchestrator notice makes a pass due at once.
+    pub fn idle_plan(&self, fabric: &Fabric, until: Nanos) -> IdleSkip {
+        let rxs = self.links.iter().map(|(_, l)| &l.rx);
+        let plan = plan_idle_passes(fabric, self.clock, until, rxs);
+        if self.outbox_orch.is_empty() {
+            plan
+        } else {
+            IdleSkip {
+                resume: self.clock,
+                last_sample: None,
+                ..plan
+            }
+        }
     }
 
     /// Runs the agent's poll loop until its clock reaches `until`,

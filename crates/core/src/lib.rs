@@ -44,7 +44,7 @@ pub mod vdev;
 
 pub use lifecycle::{LifecycleStats, TenantMigrationReport, TenantState};
 pub use orchestrator::{AllocPolicy, Orchestrator};
-pub use pod::{PodParams, PodSim};
+pub use pod::{AdvanceStats, PodParams, PodSim};
 pub use proto::Msg;
 pub use striping::{Replica, ReplicaSet, StripedVolume};
 pub use vdev::{DeviceKind, VirtualDevice};

@@ -11,12 +11,12 @@ use std::collections::{BTreeMap, HashMap};
 
 use cxl_fabric::{DomainId, Fabric, FabricError, HostId};
 use pcie_sim::DeviceId;
-use shmem::channel::{skip_idle_passes, ChannelSend};
-use shmem::ring::PollOutcome;
+use shmem::channel::{plan_idle_passes, skip_idle_passes, ChannelSend};
+use shmem::ring::{IdleSkip, PollOutcome};
 use simkit::rng::Rng;
 use simkit::Nanos;
 
-use crate::agent::{idle_pass_cost, Link};
+use crate::agent::Link;
 use crate::proto::Msg;
 use crate::striping::ReplicaSet;
 use crate::vdev::{DeviceKind, PoolError};
@@ -287,10 +287,11 @@ impl Orchestrator {
         }
     }
 
-    /// The uncontended cost of one empty poll pass over the agent links
-    /// (see [`skip_idle_passes`]).
-    pub fn idle_pass_cost(&self, fabric: &Fabric) -> Nanos {
-        idle_pass_cost(fabric, self.links.iter().map(|(_, l)| l))
+    /// The orchestrator's idle plan toward `until` ([`plan_idle_passes`]
+    /// over the agent links).
+    pub fn idle_plan(&self, fabric: &Fabric, until: Nanos) -> IdleSkip {
+        let rxs = self.links.iter().map(|(_, l)| &l.rx);
+        plan_idle_passes(fabric, self.clock, until, rxs)
     }
 
     /// Polls agent channels until `until`, reacting to failure and load

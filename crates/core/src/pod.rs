@@ -31,6 +31,9 @@ use crate::vdev::{DeviceKind, PoolError};
 /// Size of one client I/O buffer slot.
 pub const IO_SLOT: u64 = 64 * 1024;
 
+/// The lockstep quantum the pump loops advance every actor by.
+const QUANTUM: Nanos = Nanos(2_000);
+
 /// Pod construction parameters.
 #[derive(Clone, Debug)]
 pub struct PodParams {
@@ -133,6 +136,19 @@ pub struct PodSim {
     /// Tenant-lifecycle counters and the pod-wide blackout histogram
     /// (see [`crate::lifecycle`]); always on, metrics-independent.
     pub lifecycle: LifecycleStats,
+    /// Work counts of [`PodSim::run_control`]'s time advance.
+    advance: AdvanceStats,
+}
+
+/// How [`PodSim::run_control`] moved simulated time: deterministic
+/// counts of the 2 µs quanta it stepped in lockstep and of those it
+/// jumped over to the pod's idle horizon.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct AdvanceStats {
+    /// Quanta in which every actor was pumped in lockstep.
+    pub quanta_stepped: u64,
+    /// Quanta crossed by idle-horizon jumps instead of being stepped.
+    pub quanta_jumped: u64,
 }
 
 /// Handles for every pod-level metric series, in registration order.
@@ -596,6 +612,7 @@ impl PodSim {
             io_segs,
             metric_ids: None,
             lifecycle: LifecycleStats::default(),
+            advance: AdvanceStats::default(),
         };
 
         // Initial allocation: give every host a binding for each kind
@@ -729,8 +746,22 @@ impl PodSim {
     /// advance together: the fabric's FIFO pipe timelines assume
     /// roughly monotonic arrivals, and letting one actor simulate far
     /// ahead would make everyone else queue behind its bookings.
+    ///
+    /// Quanta in which no actor runs a pass through the fabric are not
+    /// stepped one by one. Before each quantum the pod computes its
+    /// idle horizon: the earliest pass any agent or the orchestrator
+    /// has planned ([`Agent::idle_plan`], [`Orchestrator::idle_plan`]),
+    /// an agent with orchestrator notices to send being due at once.
+    /// When that lies a whole quantum or more ahead, every actor is
+    /// pumped once to the last quantum boundary at or below it, and
+    /// stepping resumes there. The boundary is held back so that it
+    /// plus the largest empty-pass cost does not pass the visible time
+    /// of any ring's next slot, and with metrics on it stops at the
+    /// first boundary at or after the recorder's next tick. Every clock,
+    /// pool write and metrics sample then ends exactly where stepping
+    /// each quantum would put it. [`PodSim::advance_stats`] counts the
+    /// quanta stepped and jumped.
     pub fn run_control(&mut self, span: Nanos) {
-        const QUANTUM: Nanos = Nanos(2_000);
         let until = self.time() + span;
         let mut step = self
             .agents
@@ -740,13 +771,66 @@ impl PodSim {
             .unwrap_or(Nanos::ZERO)
             .min(self.orch.clock());
         while step < until {
-            step = (step + QUANTUM).min(until);
+            let to = self.idle_horizon(step, until);
+            if to > step {
+                let quanta = (to - step).as_nanos().div_ceil(QUANTUM.as_nanos());
+                self.advance.quanta_jumped += quanta;
+            } else {
+                self.advance.quanta_stepped += 1;
+            }
+            step = to.max((step + QUANTUM).min(until));
             for a in &mut self.agents {
                 a.pump(&mut self.fabric, step);
             }
             self.orch.pump(&mut self.fabric, step);
             self.sample_metrics(step);
         }
+    }
+
+    /// The furthest quantum boundary (`step + k·QUANTUM`, or `until`)
+    /// that every actor can be pumped to in one go with the outcome of
+    /// stepping there quantum by quantum; `step` itself when that is
+    /// not a whole quantum ahead.
+    ///
+    /// Three bounds apply. No actor may have a pass through the fabric
+    /// planned before the boundary, so every pump up to it only skips
+    /// empty passes. The boundary plus the largest empty-pass cost may
+    /// not pass the visible time of any ring's next slot: skipped polls
+    /// sample before that sum, so their [`Fabric::settle`] cannot land
+    /// a slot early and move another actor's plan. And with metrics on
+    /// the jump stops at the first boundary at or after the next tick,
+    /// where lockstep stepping would have sampled.
+    fn idle_horizon(&self, step: Nanos, until: Nanos) -> Nanos {
+        let floor = (step + QUANTUM).min(until);
+        let mut due = until;
+        if let Some(m) = self.fabric.metrics() {
+            let ticks = m.next_tick().saturating_sub(step).as_nanos();
+            due = due.min(step + QUANTUM * ticks.div_ceil(QUANTUM.as_nanos()));
+        }
+        let (mut visible, mut pass, mut horizon) = (Nanos::MAX, Nanos::ZERO, due);
+        let plans = self
+            .agents
+            .iter()
+            .map(|a| a.idle_plan(&self.fabric, until))
+            .chain(std::iter::once(self.orch.idle_plan(&self.fabric, until)));
+        for plan in plans {
+            due = due.min(plan.resume);
+            visible = visible.min(plan.first_visible.unwrap_or(Nanos::MAX));
+            pass = pass.max(plan.pass);
+            horizon = due.min(visible.saturating_sub(pass));
+            if horizon < floor {
+                return step;
+            }
+        }
+        if horizon >= until {
+            return until;
+        }
+        step + QUANTUM * ((horizon - step).as_nanos() / QUANTUM.as_nanos())
+    }
+
+    /// How [`PodSim::run_control`] has advanced time so far.
+    pub fn advance_stats(&self) -> AdvanceStats {
+        self.advance
     }
 
     /// Injects a NIC failure.
@@ -1459,7 +1543,6 @@ impl PodSim {
         op: u64,
         deadline: Nanos,
     ) -> Result<Completion, PoolError> {
-        const QUANTUM: Nanos = Nanos(2_000);
         loop {
             if let Some(c) = self.agents[owner.0 as usize].completions.remove(&op) {
                 if c.status == 0 {
@@ -1799,35 +1882,34 @@ mod tests {
         for h in 0..pod.agents.len() {
             let a = &mut pod.agents[h];
             a.advance_clock(t);
-            let p = a.idle_pass_cost(&pod.fabric);
+            let p = a.idle_plan(&pod.fabric, t).pass;
             assert!(p > Nanos::ZERO);
             a.poll_pass(&mut pod.fabric, t);
             assert_eq!(a.clock() - t, p, "host {h}");
             t += Nanos::from_micros(100);
         }
         pod.orch.advance_clock(t);
-        let p = pod.orch.idle_pass_cost(&pod.fabric);
+        let p = pod.orch.idle_plan(&pod.fabric, t).pass;
         pod.orch.poll_pass(&mut pod.fabric, t);
         assert_eq!(pod.orch.clock() - t, p, "orchestrator");
     }
 
     #[test]
-    fn idle_pass_cost_matches_a_real_empty_pass() {
+    fn idle_plan_pass_matches_a_real_empty_pass() {
         assert_pass_cost_is_exact(PodSim::new(PodParams::new(6, 2)));
         assert_pass_cost_is_exact(PodSim::new(eight_host_params()));
     }
 
-    #[test]
-    fn pickup_lands_on_the_busy_poll_grid() {
+    /// One empty poll from the constants: `(sees, total)`, the CPU +
+    /// invalidate before the slot load samples pool memory, and the
+    /// whole poll including a 64 B load on idle pipes (request up the
+    /// link, MHD DRAM, device latency, data down the link).
+    fn idle_poll_from_constants() -> (Nanos, Nanos) {
         use cxl_fabric::fabric::INVALIDATE_NS;
         use cxl_fabric::FabricParams;
         use shmem::ring::POLL_CPU_NS;
         use simkit::time::transfer_time;
 
-        let mut pod = PodSim::new(PodParams::new(2, 1));
-        // One empty poll from the constants: CPU + invalidate, then a
-        // 64 B load on idle pipes (request up the link, MHD DRAM, device
-        // latency, data down the link).
         let fp = FabricParams::default();
         let sees = Nanos(POLL_CPU_NS + INVALIDATE_NS);
         let load = Nanos(fp.cxl_host_overhead_ns)
@@ -1838,9 +1920,16 @@ mod tests {
             + Nanos(fp.cxl_device_ns)
             + transfer_time(64, fp.link_gbps())
             + Nanos(fp.cxl_wire_ns);
+        (sees, sees + load)
+    }
+
+    #[test]
+    fn pickup_lands_on_the_busy_poll_grid() {
+        let mut pod = PodSim::new(PodParams::new(2, 1));
+        let (sees, poll) = idle_poll_from_constants();
         // Host 0 polls two rings: host 1's, then the orchestrator's.
-        let pass = (sees + load) * 2;
-        assert_eq!(pod.agents[0].idle_pass_cost(&pod.fabric), pass);
+        let pass = poll * 2;
+        assert_eq!(pod.agents[0].idle_plan(&pod.fabric, Nanos::ZERO).pass, pass);
 
         let c0 = pod.agents[0].clock();
         pod.agents[1].advance_clock(c0 + Nanos(5_123));
@@ -1873,6 +1962,127 @@ mod tests {
             assert_eq!(pod.fabric.stats().loads, loads);
             assert!(pod.time() >= t0 + Nanos::from_millis(1));
         }
+    }
+
+    #[test]
+    fn idle_run_control_jumps_instead_of_stepping() {
+        for params in [PodParams::new(6, 2), eight_host_params()] {
+            let mut pod = PodSim::new(params);
+            let before = pod.advance_stats();
+            pod.run_control(Nanos::from_millis(1));
+            let after = pod.advance_stats();
+            let stepped = after.quanta_stepped - before.quanta_stepped;
+            let jumped = after.quanta_jumped - before.quanta_jumped;
+            assert!(stepped <= 2, "{stepped} quanta stepped");
+            assert!(stepped + jumped >= 500, "1 ms is 500 quanta");
+        }
+    }
+
+    /// Sends one `Assign` from host 1 to host 0 in a 6-host pod whose
+    /// pass grids are set by hand: the orchestrator idles from `t`,
+    /// host 0 from `t + r`, host 1 sends at `t + send` and hosts 2-5 are
+    /// parked past the window. Returns the pod, `t` and the slot's
+    /// visible time.
+    fn one_message_pod(r: Nanos, send: Nanos) -> (PodSim, Nanos, Nanos) {
+        let mut pod = PodSim::new(PodParams::new(6, 2));
+        pod.enable_trace_config(TraceConfig {
+            capacity: 1 << 12,
+            fabric_ops: false,
+        });
+        let t = pod.time() + Nanos::from_micros(100);
+        pod.orch.advance_clock(t);
+        pod.agents[0].advance_clock(t + r);
+        pod.agents[1].advance_clock(t + send);
+        for a in &mut pod.agents[2..] {
+            a.advance_clock(t + Nanos::from_micros(30));
+        }
+        let msg = Msg::Assign {
+            host: HostId(0),
+            kind: DeviceKind::Nic.as_u8(),
+            dev: DeviceId(77),
+        };
+        let v = pod.agents[1]
+            .send_to(&mut pod.fabric, Peer::Host(HostId(0)), &msg)
+            .expect("send");
+        (pod, t, v)
+    }
+
+    #[test]
+    fn slot_visible_within_a_pass_of_the_horizon_is_picked_up_on_the_grid() {
+        let (sees, poll) = idle_poll_from_constants();
+        // Every actor polls six rings (five peers and the orchestrator,
+        // or the six agents); host 1's ring is host 0's first.
+        let pass = poll * 6;
+        let r = Nanos(930);
+        let (mut pod, t, v) = one_message_pod(r, Nanos(8_700));
+        assert_eq!(pod.agents[0].idle_plan(&pod.fabric, t).pass, pass);
+        assert_eq!(pod.orch.idle_plan(&pod.fabric, t).pass, pass);
+        // Host 0's first pass that samples at or after v starts at
+        // t + r + 7P, past the boundary t + 10 µs: a jump bounded by
+        // that alone would go there.
+        assert!(t + r + pass * 6 + sees < v && v <= t + r + pass * 7 + sees);
+        assert!(t + r + pass * 7 >= t + Nanos::from_micros(10));
+        // But the orchestrator's grid is t + kP: pumped to the boundary
+        // t + 8 µs it skips to t + 7P, and the last poll of that skip
+        // samples at or after v, landing the slot. Host 0, parked on
+        // its grid point t + r + 6P, then finds it on its next pass.
+        assert!(t + pass * 6 < t + Nanos::from_micros(8));
+        assert!(t + pass * 7 - (poll - sees) >= v);
+        let jumped = pod.advance_stats().quanta_jumped;
+        pod.run_control(Nanos::from_micros(2));
+        assert!(pod.advance_stats().quanta_jumped > jumped, "no jump");
+        let recv: Vec<Nanos> = pod
+            .trace()
+            .expect("tracing")
+            .events()
+            .filter(|e| e.name == "chan/recv")
+            .map(|e| e.start)
+            .collect();
+        assert_eq!(recv, vec![t + r + pass * 6 + poll]);
+        assert_eq!(pod.binding(HostId(0), DeviceKind::Nic), Some(DeviceId(77)));
+    }
+
+    #[test]
+    fn metrics_samples_land_on_the_first_step_after_each_tick() {
+        let mut pod = PodSim::new(eight_host_params());
+        let interval = Nanos::from_micros(37);
+        pod.enable_metrics_config(MetricsConfig {
+            interval,
+            capacity: 1 << 16,
+        });
+        let step0 = pod
+            .agents
+            .iter()
+            .map(|a| a.clock())
+            .chain([pod.orch.clock()])
+            .min()
+            .expect("actors");
+        let until = pod.time() + Nanos::from_micros(500);
+        let jumped = pod.advance_stats().quanta_jumped;
+        pod.run_control(until - pod.time());
+        assert!(pod.advance_stats().quanta_jumped > jumped, "no jump");
+        // Lockstep from the constants: the pod samples on every step
+        // that has reached the recorder's next tick (k · interval).
+        let (mut expected, mut tick) = (Vec::new(), interval);
+        let mut step = step0;
+        while step < until {
+            step = (step + QUANTUM).min(until);
+            if step >= tick {
+                expected.push(step);
+                while tick <= step {
+                    tick += interval;
+                }
+            }
+        }
+        let mut got: Vec<Nanos> = pod
+            .metrics()
+            .expect("metrics")
+            .samples()
+            .map(|s| s.at)
+            .collect();
+        got.dedup();
+        assert!(expected.len() > 10);
+        assert_eq!(got, expected);
     }
 
     #[test]

@@ -115,6 +115,17 @@ pub struct AccessStats {
     pub bytes_written: u64,
 }
 
+/// The per-line bookkeeping of one [`Fabric::load`].
+#[derive(Default)]
+struct LoadScratch {
+    /// Every line the load touched, with whether the cache served it.
+    served: Vec<(u64, bool)>,
+    /// The lines fetched from the pool.
+    missed: Vec<u64>,
+    /// Cache victims of the fills.
+    evictions: Vec<Eviction>,
+}
+
 struct PendingWrite {
     hpa: u64,
     data: Vec<u8>,
@@ -159,6 +170,9 @@ pub struct Fabric {
     /// pool access computes an interleave spread, and reusing one
     /// buffer keeps the datapath allocation-free.
     spread_scratch: Vec<(MhdId, u64)>,
+    /// Reusable scratch for [`Fabric::load`], kept like
+    /// `spread_scratch` so a load allocates nothing.
+    load_scratch: LoadScratch,
     /// Bumped on every [`Fabric::topology_mut`] borrow, so callers that
     /// cache path-dependent answers (see [`Fabric::idle_load_latency`])
     /// know when to recompute them.
@@ -217,6 +231,7 @@ impl Fabric {
             trace: None,
             metrics: None,
             spread_scratch: Vec::new(),
+            load_scratch: LoadScratch::default(),
             topology_epoch: 0,
         }
     }
@@ -618,18 +633,20 @@ impl Fabric {
         self.stats.loads += 1;
         self.stats.bytes_read += len;
 
-        let mut missed_lines: Vec<u64> = Vec::new();
-        let mut served: Vec<(u64, bool)> = Vec::new();
+        let mut scratch = std::mem::take(&mut self.load_scratch);
+        scratch.served.clear();
+        scratch.missed.clear();
+        scratch.evictions.clear();
         let cache = &mut self.caches[host.0 as usize];
         for la in lines(hpa, len) {
             match cache.load(la) {
                 LoadOutcome::Hit(data) => {
                     copy_line_to_buf(la, &data, hpa, buf);
-                    served.push((la, true));
+                    scratch.served.push((la, true));
                 }
                 LoadOutcome::Miss => {
-                    missed_lines.push(la);
-                    served.push((la, false));
+                    scratch.missed.push(la);
+                    scratch.served.push((la, false));
                 }
             }
         }
@@ -637,35 +654,36 @@ impl Fabric {
             a.on_load(
                 now,
                 host,
-                &served,
+                &scratch.served,
                 self.tear_tolerant.lookup(),
                 self.sync_ranges.lookup(),
             );
         }
         self.sync_trace_audit();
-        if missed_lines.is_empty() {
+        if scratch.missed.is_empty() {
+            self.load_scratch = scratch;
             let done = now + Nanos(CACHE_HIT_NS);
             self.trace_fabric_op(Track::HostCpu(host.0), "fabric/load", now, done);
             return Ok(done);
         }
 
         // Fetch missing lines from the pool and install them.
-        let mut evictions: Vec<Eviction> = Vec::new();
-        for &la in &missed_lines {
+        for &la in &scratch.missed {
             let mut line = [0u8; CACHELINE as usize];
             self.pool.read(la, &mut line);
             copy_line_to_buf(la, &line, hpa, buf);
             if let Some(ev) = self.caches[host.0 as usize].fill(la, line) {
-                evictions.push(ev);
+                scratch.evictions.push(ev);
             }
         }
         // Dirty evictions write back immediately (they ride the same
         // link traffic; visibility now is the conservative choice).
-        for ev in evictions {
+        for &ev in &scratch.evictions {
             self.apply_eviction(now, host, ev);
         }
 
-        let bytes = missed_lines.len() as u64 * CACHELINE;
+        let bytes = scratch.missed.len() as u64 * CACHELINE;
+        self.load_scratch = scratch;
         let done = self.timed_pool_read(now, host, hpa, bytes)?;
         self.trace_fabric_op(Track::HostCpu(host.0), "fabric/load", now, done);
         Ok(done)

@@ -11,8 +11,8 @@ use simkit::trace::Track;
 use simkit::Nanos;
 
 use crate::ring::{
-    plan_idle_skip, PollCost, PollOutcome, RingBuf, RingReceiver, RingSender, SendOutcome,
-    SLOT_PAYLOAD,
+    plan_idle_skip, IdleSkip, PollCost, PollOutcome, RingBuf, RingReceiver, RingSender,
+    SendOutcome, SLOT_PAYLOAD,
 };
 
 /// Per-fragment header bytes.
@@ -325,29 +325,38 @@ impl ChannelReceiver {
     }
 }
 
-/// Skips a poll loop's empty passes over `rxs` (polled round-robin in
-/// this order) and returns when its next pass through the fabric
-/// starts, or the first pass boundary at or after `until` if none is
-/// due before; see [`plan_idle_skip`]. The skipped polls are settled
-/// ([`Fabric::settle`]) up to the last one's sample time, so the pool
-/// contents other actors read afterwards are the ones a simulated poll
-/// would have left; no skipped poll books pipe time, touches a cache or
-/// is audited.
+/// Plans a poll loop's jump over its empty passes over `rxs` (polled
+/// round-robin in this order) from `clock` toward `until`, without
+/// touching the fabric: [`plan_idle_skip`] fed with each receiver's
+/// idle poll cost and next visible slot.
+pub fn plan_idle_passes<'a>(
+    fabric: &Fabric,
+    clock: Nanos,
+    until: Nanos,
+    rxs: impl IntoIterator<Item = &'a ChannelReceiver>,
+) -> IdleSkip {
+    plan_idle_skip(
+        clock,
+        until,
+        rxs.into_iter()
+            .map(|rx| (rx.idle_poll_cost(fabric), rx.next_visible(fabric))),
+    )
+}
+
+/// Skips a poll loop's empty passes over `rxs` and returns when its
+/// next pass through the fabric starts, or the first pass boundary at
+/// or after `until` if none is due before; see [`plan_idle_passes`].
+/// The skipped polls are settled ([`Fabric::settle`]) up to the last
+/// one's sample time, so the pool contents other actors read afterwards
+/// are the ones a simulated poll would have left; no skipped poll books
+/// pipe time, touches a cache or is audited.
 pub fn skip_idle_passes<'a>(
     fabric: &mut Fabric,
     clock: Nanos,
     until: Nanos,
     rxs: impl IntoIterator<Item = &'a ChannelReceiver>,
 ) -> Nanos {
-    let plan = {
-        let fabric = &*fabric;
-        plan_idle_skip(
-            clock,
-            until,
-            rxs.into_iter()
-                .map(|rx| (rx.idle_poll_cost(fabric), rx.next_visible(fabric))),
-        )
-    };
+    let plan = plan_idle_passes(fabric, clock, until, rxs);
     if let Some(t) = plan.last_sample {
         fabric.settle(t);
     }

@@ -49,7 +49,8 @@ pub mod ring;
 pub mod seqlock;
 
 pub use channel::{
-    skip_idle_passes, Channel, ChannelReceiver, ChannelSend, ChannelSender, ChannelStats,
+    plan_idle_passes, skip_idle_passes, Channel, ChannelReceiver, ChannelSend, ChannelSender,
+    ChannelStats,
 };
 pub use mailbox::{HeartbeatTable, Mailbox};
 pub use ring::{PollCost, PollOutcome, RingBuf, RingReceiver, RingSender, SendOutcome};

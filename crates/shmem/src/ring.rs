@@ -72,6 +72,13 @@ pub struct IdleSkip {
     pub resume: Nanos,
     /// The sample time of the last poll skipped, if any pass was.
     pub last_sample: Option<Nanos>,
+    /// The cost of one empty pass: the sum of the pollable rings' idle
+    /// poll costs (zero with no pollable ring). A loop skipping to any
+    /// `t` samples nothing at or after `t + pass`.
+    pub pass: Nanos,
+    /// The earliest time from which a poll observes the next slot of a
+    /// pollable ring, if any ring has one published.
+    pub first_visible: Option<Nanos>,
 }
 
 /// Plans a poll loop's jump over the empty passes before its next work.
@@ -98,12 +105,14 @@ pub fn plan_idle_skip(
 ) -> IdleSkip {
     let mut pass = Nanos::ZERO;
     let mut wait: Option<Nanos> = None;
+    let mut first_visible: Option<Nanos> = None;
     let mut last: Option<PollCost> = None;
     for (cost, visible) in rings {
         let Some(cost) = cost else { continue };
         if let Some(v) = visible {
             let w = v.saturating_sub(clock + pass + cost.sees_at);
             wait = Some(wait.map_or(w, |x| x.min(w)));
+            first_visible = Some(first_visible.map_or(v, |x| x.min(v)));
         }
         pass += cost.total;
         last = Some(cost);
@@ -112,6 +121,8 @@ pub fn plan_idle_skip(
         return IdleSkip {
             resume: clock.max(until),
             last_sample: None,
+            pass,
+            first_visible,
         };
     };
     let passes = |span: Nanos| span.as_nanos().div_ceil(pass.as_nanos());
@@ -123,6 +134,8 @@ pub fn plan_idle_skip(
         // The last ring's poll ends the pass: it sampled its slot
         // `total - sees_at` before the next pass starts.
         last_sample: (k > 0).then(|| resume - (last.total - last.sees_at)),
+        pass,
+        first_visible,
     }
 }
 
@@ -674,6 +687,8 @@ mod tests {
         let plan = plan_idle_skip(Nanos(1_000), Nanos(5_000), rings);
         assert_eq!(plan.resume, Nanos(1_800));
         assert_eq!(plan.last_sample, Some(Nanos(1_622)));
+        assert_eq!(plan.pass, Nanos(400));
+        assert_eq!(plan.first_visible, Some(Nanos(2_000)));
         // The earliest of several slots wins.
         let rings = [
             (cost(22, 200), Some(Nanos(1_300))),
@@ -718,6 +733,11 @@ mod tests {
         let plan = plan_idle_skip(Nanos(0), Nanos(1_000), rings);
         assert_eq!(plan.resume, Nanos(1_000));
         assert_eq!(plan.last_sample, None);
+        assert_eq!(plan.pass, Nanos::ZERO);
+        assert_eq!(
+            plan.first_visible, None,
+            "an unreachable slot bounds nothing"
+        );
     }
 
     #[test]

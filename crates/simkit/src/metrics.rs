@@ -400,6 +400,12 @@ impl MetricsRecorder {
             .and_then(|m| m.hist.as_ref())
     }
 
+    /// The simulated time of the next sampling tick: the first `now`
+    /// for which [`MetricsRecorder::tick_due`] holds.
+    pub fn next_tick(&self) -> Nanos {
+        self.next_tick
+    }
+
     /// True when simulated time `now` has reached the next sampling
     /// tick. Callers refresh their gauges only when this is true, then
     /// call [`MetricsRecorder::sample`].
@@ -661,7 +667,9 @@ mod tests {
         m.sample(Nanos(100));
         m.gauge_set(g, 9.0);
         m.sample(Nanos(150)); // not due: next tick is 200
+        assert_eq!(m.next_tick(), Nanos(200));
         m.sample(Nanos(230));
+        assert_eq!(m.next_tick(), Nanos(300));
         let pts: Vec<(u64, f64)> = m.samples().map(|s| (s.at.as_nanos(), s.value)).collect();
         assert_eq!(pts, vec![(100, 7.0), (230, 9.0)]);
     }

@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 
 use cxl_fabric::{DomainId, HostId, MhdId};
 use cxl_pool_core::lifecycle::{self as pod_lifecycle, TenantState};
-use cxl_pool_core::pod::{PodSim, IO_SLOT};
+use cxl_pool_core::pod::PodSim;
 use cxl_pool_core::vdev::{DeviceKind, PoolError};
 use pcie_sim::DeviceId;
 use simkit::metrics::{Labels, MetricId};
@@ -185,6 +185,11 @@ impl Engine {
             )
             .collect();
         let resident_n = spec.tenants.len();
+        // Each tenant's mix weights, in mix order, for the op draw.
+        let weights: Vec<Vec<f64>> = all_tenants
+            .iter()
+            .map(|t| t.mix.iter().map(|&(_, w)| w).collect())
+            .collect();
 
         // Issue sources: open-loop cursors + closed-loop workers.
         let mut cursors = vec![0usize; all_tenants.len()];
@@ -348,8 +353,7 @@ impl Engine {
             // Pick host and op class from the tenant's choice stream.
             let rng = &mut choice_rngs[issue.tenant];
             let host = tenant.hosts[rng.below(tenant.hosts.len() as u64) as usize];
-            let weights: Vec<f64> = tenant.mix.iter().map(|&(_, w)| w).collect();
-            let op = tenant.mix[rng.weighted(&weights)].0;
+            let op = tenant.mix[rng.weighted(&weights[issue.tenant])].0;
             let lba = rng.below(1 << 16);
             *host_issued.entry(host).or_insert(0) += 1;
 
@@ -677,12 +681,10 @@ fn execute(
 ) -> Result<Nanos, PoolError> {
     match op {
         OpKind::NicSend { bytes } => {
-            assert!(bytes as u64 <= IO_SLOT, "payload exceeds an I/O slot");
             let payload = payload(bytes, issue_id);
             pod.vnic_send(host, &payload, deadline).map(|r| r.at)
         }
         OpKind::NicRecv { bytes } => {
-            assert!(bytes as u64 <= IO_SLOT, "frame exceeds an I/O slot");
             let dev = pod
                 .binding(host, DeviceKind::Nic)
                 .ok_or(PoolError::NotAssigned(DeviceKind::Nic))?;
@@ -698,8 +700,7 @@ fn execute(
             .vssd_read(host, lba, blocks, deadline)
             .map(|(_, r)| r.at),
         OpKind::SsdWrite { blocks } => {
-            let bytes = (blocks as u64 * 4096).min(IO_SLOT) as u32;
-            let data = payload(bytes, issue_id);
+            let data = payload(op.io_bytes() as u32, issue_id);
             let buf = pod.io_buf(host);
             let now = pod.agents[host.0 as usize].clock();
             let staged = pod.fabric.nt_store(now, host, buf, &data)?;
@@ -708,7 +709,6 @@ fn execute(
                 .map(|r| r.at)
         }
         OpKind::AccelRun { bytes } => {
-            assert!(bytes as u64 <= IO_SLOT, "input exceeds an I/O slot");
             let input = payload(bytes, issue_id);
             pod.vaccel_run(host, &input, deadline).map(|(_, r)| r.at)
         }

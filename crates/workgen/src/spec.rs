@@ -1,6 +1,8 @@
 //! Workload specifications: tenants, device mixes, fault plans.
 
+use cxl_pool_core::pod::IO_SLOT;
 use cxl_pool_core::vdev::DeviceKind;
+use pcie_sim::ssd::BLOCK;
 use simkit::Nanos;
 
 use crate::arrival::Arrival;
@@ -45,6 +47,17 @@ impl OpKind {
             OpKind::NicSend { .. } | OpKind::NicRecv { .. } => DeviceKind::Nic,
             OpKind::SsdRead { .. } | OpKind::SsdWrite { .. } => DeviceKind::Ssd,
             OpKind::AccelRun { .. } => DeviceKind::Accel,
+        }
+    }
+
+    /// Bytes the operation moves through one client I/O buffer slot:
+    /// the payload, frame or input size, or `blocks` whole SSD blocks.
+    pub fn io_bytes(self) -> u64 {
+        match self {
+            OpKind::NicSend { bytes } | OpKind::NicRecv { bytes } | OpKind::AccelRun { bytes } => {
+                u64::from(bytes)
+            }
+            OpKind::SsdRead { blocks } | OpKind::SsdWrite { blocks } => u64::from(blocks) * BLOCK,
         }
     }
 
@@ -165,8 +178,9 @@ impl WorkloadSpec {
     }
 
     /// Validates the spec against a pod: every tenant needs at least
-    /// one host and one positively-weighted op, and every op's device
-    /// kind must exist in `kinds`. Churn tenants are held to the same
+    /// one host and one positively-weighted op, every weight must be a
+    /// finite nonnegative number, every op must fit one I/O buffer slot
+    /// ([`IO_SLOT`]), and every op's device kind must exist in `kinds`. Churn tenants are held to the same
     /// rules and must additionally be open-loop (their schedules are
     /// thinned by lifecycle phase, which a completion-driven process
     /// has none of). Returns the offending description.
@@ -188,10 +202,25 @@ impl WorkloadSpec {
             if let Some(&h) = t.hosts.iter().find(|&&h| h >= hosts) {
                 return Err(format!("tenant {}: host {h} outside pod", t.name));
             }
-            if t.mix.iter().all(|&(_, w)| w <= 0.0) {
+            if let Some(&(op, w)) = t.mix.iter().find(|&&(_, w)| !(w.is_finite() && w >= 0.0)) {
+                return Err(format!(
+                    "tenant {}: {} has weight {w}; weights must be finite and nonnegative",
+                    t.name,
+                    op.label()
+                ));
+            }
+            if t.mix.iter().all(|&(_, w)| w == 0.0) {
                 return Err(format!("tenant {}: empty op mix", t.name));
             }
             for &(op, w) in &t.mix {
+                if op.io_bytes() > IO_SLOT {
+                    return Err(format!(
+                        "tenant {}: {} moves {} bytes, more than one {IO_SLOT}-byte I/O slot",
+                        t.name,
+                        op.label(),
+                        op.io_bytes()
+                    ));
+                }
                 if w > 0.0 && !kinds.contains(&op.device_kind()) {
                     return Err(format!(
                         "tenant {}: {} needs a {:?} but the pod has none",
@@ -292,6 +321,51 @@ mod tests {
             .validate(2, &[DeviceKind::Nic, DeviceKind::Ssd])
             .unwrap_err();
         assert!(err.contains("host 2"), "{err}");
+    }
+
+    /// `spec()` with tenant `web`'s mix replaced by `mix`.
+    fn with_web_mix(mix: Vec<(OpKind, f64)>) -> Result<(), String> {
+        let mut s = spec();
+        s.tenants[0].mix = mix;
+        s.validate(4, &[DeviceKind::Nic, DeviceKind::Ssd, DeviceKind::Accel])
+    }
+
+    #[test]
+    fn validate_rejects_ops_larger_than_an_io_slot() {
+        let slot = IO_SLOT as u32;
+        for op in [
+            OpKind::NicSend { bytes: 70_000 },
+            OpKind::NicRecv { bytes: slot + 1 },
+            OpKind::AccelRun { bytes: slot + 1 },
+            OpKind::SsdRead { blocks: 64 },
+            OpKind::SsdWrite { blocks: 17 },
+        ] {
+            let err = with_web_mix(vec![(op, 1.0)]).unwrap_err();
+            assert!(
+                err.contains(op.label()) && err.contains("I/O slot"),
+                "{err}"
+            );
+        }
+        // Exactly one slot still fits.
+        for op in [
+            OpKind::NicSend { bytes: slot },
+            OpKind::SsdRead { blocks: 16 },
+        ] {
+            assert_eq!(with_web_mix(vec![(op, 1.0)]), Ok(()));
+        }
+    }
+
+    #[test]
+    fn validate_rejects_non_finite_and_negative_weights() {
+        let send = OpKind::NicSend { bytes: 64 };
+        for w in [f64::NAN, f64::INFINITY, -0.5] {
+            let err = with_web_mix(vec![(send, 1.0), (send, w)]).unwrap_err();
+            assert!(err.contains("weight"), "{w}: {err}");
+        }
+        // A zero weight is allowed beside a positive one, not alone.
+        assert_eq!(with_web_mix(vec![(send, 1.0), (send, 0.0)]), Ok(()));
+        let err = with_web_mix(vec![(send, 0.0)]).unwrap_err();
+        assert!(err.contains("empty op mix"), "{err}");
     }
 
     #[test]
