@@ -8,13 +8,66 @@
 //! ```
 //!
 //! `--json PATH` additionally writes every table as CSV-in-JSON for
-//! downstream plotting.
+//! downstream plotting. An unknown experiment or flag, or `--json`
+//! without a path, prints this usage and exits with status 2.
 
 use std::env;
+use std::process::ExitCode;
 
 use bench::{baselines, extensions, fig2, fig3, fig4, microbench, orchestrator, sqrtn, Scale};
 use simkit::stats::Summary;
 use simkit::table::Table;
+
+const USAGE: &str = "\
+usage: repro [--full] [--json PATH] [experiment…]
+
+experiments: fig2 sqrtn fig3 fig4 microbench orchestrator baselines
+             extensions   (default: all)";
+
+/// Every experiment name `repro` accepts.
+const EXPERIMENTS: &[&str] = &[
+    "fig2",
+    "sqrtn",
+    "fig3",
+    "fig4",
+    "microbench",
+    "orchestrator",
+    "baselines",
+    "extensions",
+];
+
+/// One parsed `repro` invocation.
+#[derive(Debug, PartialEq)]
+struct Args {
+    scale: Scale,
+    json_path: Option<String>,
+    /// Requested experiments; empty means all of them.
+    wanted: Vec<String>,
+}
+
+/// Parses the command line (program name already stripped). The error
+/// names the offending argument.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut parsed = Args {
+        scale: Scale::Quick,
+        json_path: None,
+        wanted: Vec::new(),
+    };
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        match a.as_str() {
+            "--full" => parsed.scale = Scale::Full,
+            "--json" => match it.next() {
+                Some(path) if !path.starts_with("--") => parsed.json_path = Some(path.clone()),
+                _ => return Err("--json needs a path".to_string()),
+            },
+            flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}")),
+            name if EXPERIMENTS.contains(&name) => parsed.wanted.push(name.to_string()),
+            name => return Err(format!("unknown experiment {name}")),
+        }
+    }
+    Ok(parsed)
+}
 
 struct Emitter {
     json: Vec<(String, serde_json::Value)>,
@@ -52,41 +105,25 @@ fn summary_json(s: &Summary) -> serde_json::Value {
     ])
 }
 
-fn main() -> std::process::ExitCode {
+fn main() -> ExitCode {
     let args: Vec<String> = env::args().skip(1).collect();
     // `bench workload …` is its own harness (see bench::workload).
     if args.first().map(String::as_str) == Some("workload") {
         return bench::workload::run_cli(&args[1..]);
     }
-    let scale = if args.iter().any(|a| a == "--full") {
-        Scale::Full
-    } else {
-        Scale::Quick
-    };
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let wanted: Vec<&str> = {
-        let mut skip_next = false;
-        args.iter()
-            .filter(|a| {
-                if skip_next {
-                    skip_next = false;
-                    return false;
-                }
-                if *a == "--json" {
-                    skip_next = true;
-                    return false;
-                }
-                !a.starts_with("--")
-            })
-            .map(String::as_str)
-            .collect()
+    let Args {
+        scale,
+        json_path,
+        wanted,
+    } = match parse_args(&args) {
+        Ok(parsed) => parsed,
+        Err(msg) => {
+            eprintln!("repro: {msg}\n{USAGE}");
+            return ExitCode::from(2);
+        }
     };
     let all = wanted.is_empty();
-    let want = |name: &str| all || wanted.contains(&name);
+    let want = |name: &str| all || wanted.iter().any(|w| w == name);
     let mut out = Emitter { json: Vec::new() };
 
     if want("fig2") {
@@ -236,5 +273,51 @@ fn main() -> std::process::ExitCode {
         .expect("write json");
         println!("\nresults written to {path}");
     }
-    std::process::ExitCode::SUCCESS
+    ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn valid_invocation_parses() {
+        assert_eq!(
+            parse(&["--json", "out.json", "fig2", "--full", "fig3"]),
+            Ok(Args {
+                scale: Scale::Full,
+                json_path: Some("out.json".to_string()),
+                wanted: vec!["fig2".to_string(), "fig3".to_string()],
+            })
+        );
+    }
+
+    #[test]
+    fn unknown_experiment_is_rejected() {
+        assert_eq!(parse(&["fig9"]), Err("unknown experiment fig9".to_string()));
+    }
+
+    #[test]
+    fn unknown_flag_is_rejected() {
+        assert_eq!(
+            parse(&["--jsno", "out.json", "fig9"]),
+            Err("unknown flag --jsno".to_string())
+        );
+    }
+
+    #[test]
+    fn json_without_path_is_rejected() {
+        assert_eq!(
+            parse(&["fig2", "--json"]),
+            Err("--json needs a path".to_string())
+        );
+        assert_eq!(
+            parse(&["--json", "--full"]),
+            Err("--json needs a path".to_string())
+        );
+    }
 }

@@ -70,8 +70,5 @@ pub mod trace;
 
 mod sched;
 
-pub use sched::{
-    run, run_until, CalendarQueue, EventQueue, Profiler, ProfilerReport, ReferenceHeap, Scheduler,
-    World,
-};
+pub use sched::{run, Profiler, ProfilerReport, Scheduler, World};
 pub use time::Nanos;

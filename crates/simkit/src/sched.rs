@@ -1,13 +1,10 @@
 //! The event queue and run loop, plus the wall-clock DES
 //! self-profiler ([`Profiler`]).
 //!
-//! Two interchangeable queue implementations back the [`Scheduler`]
-//! (see [`EventQueue`]): the default [`CalendarQueue`] — a bucketed
-//! timing wheel with amortized O(1) insert/extract — and the
-//! [`ReferenceHeap`] binary heap it is differentially tested against.
-//! Both realize the exact same `(time, insertion seq)` total order, so
-//! swapping one for the other never changes simulated results; see
-//! `docs/PERFORMANCE.md` for the design notes.
+//! The [`Scheduler`] is a binary heap over `(time, insertion seq)`.
+//! Its only users (the Fig 2 churn and Fig 3 UDP experiments) keep at
+//! most a few thousand events pending, where a heap is as fast as any
+//! bucketed queue; see `docs/PERFORMANCE.md` §2 for the measurements.
 
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
@@ -38,12 +35,6 @@ struct Entry<E> {
     ev: E,
 }
 
-impl<E> Entry<E> {
-    fn key(&self) -> (Nanos, u64) {
-        (self.at, self.seq)
-    }
-}
-
 impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
         self.at == other.at && self.seq == other.seq
@@ -61,323 +52,21 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-mod queue_core {
-    use super::Nanos;
-
-    /// The pluggable core of a [`super::Scheduler`]'s event queue
-    /// (sealed: implementations live in `sched` only).
-    ///
-    /// Implementations must realize the exact total order
-    /// `(time, seq)` — `pop_min` always returns the pending event with
-    /// the smallest `(at, seq)` pair. Because `seq` values are unique,
-    /// the order is total and two conforming implementations dispatch
-    /// any workload in bit-identical order; the test suite checks the
-    /// calendar queue against the reference heap on randomized
-    /// schedules.
-    pub trait EventQueueCore<E> {
-        /// Inserts an event firing at `at` with insertion sequence
-        /// `seq`.
-        fn push(&mut self, at: Nanos, seq: u64, ev: E);
-        /// Removes and returns the minimum-`(at, seq)` event.
-        fn pop_min(&mut self) -> Option<(Nanos, u64, E)>;
-        /// The `(at, seq)` key of the minimum pending event, if any.
-        fn peek_min(&mut self) -> Option<(Nanos, u64)>;
-        /// Number of pending events.
-        fn len(&self) -> usize;
-        /// Discards all pending events.
-        fn clear(&mut self);
-    }
-}
-
-use queue_core::EventQueueCore;
-
-/// The queue contract both [`Scheduler`] backends satisfy: a
-/// deterministic `(time, seq)`-ordered event queue. Sealed — the two
-/// implementations are [`CalendarQueue`] (the default) and
-/// [`ReferenceHeap`] (the differential-testing baseline), selected via
-/// [`Scheduler::new`] / [`Scheduler::with_reference_heap`].
-pub trait EventQueue<E>: EventQueueCore<E> {}
-
-/// The original `BinaryHeap` event queue, kept as the reference
-/// implementation for differential testing ([`Scheduler::with_reference_heap`]).
-///
-/// O(log n) push/pop, trivially correct ordering via the entry’s `Ord`.
-pub struct ReferenceHeap<E> {
-    heap: BinaryHeap<Reverse<Entry<E>>>,
-}
-
-impl<E> Default for ReferenceHeap<E> {
-    fn default() -> Self {
-        ReferenceHeap {
-            heap: BinaryHeap::new(),
-        }
-    }
-}
-
-impl<E> EventQueueCore<E> for ReferenceHeap<E> {
-    fn push(&mut self, at: Nanos, seq: u64, ev: E) {
-        self.heap.push(Reverse(Entry { at, seq, ev }));
-    }
-
-    fn pop_min(&mut self) -> Option<(Nanos, u64, E)> {
-        let Reverse(e) = self.heap.pop()?;
-        Some((e.at, e.seq, e.ev))
-    }
-
-    fn peek_min(&mut self) -> Option<(Nanos, u64)> {
-        self.heap.peek().map(|Reverse(e)| e.key())
-    }
-
-    fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    fn clear(&mut self) {
-        self.heap.clear();
-    }
-}
-
-impl<E> EventQueue<E> for ReferenceHeap<E> {}
-
-/// Smallest bucket count a [`CalendarQueue`] shrinks back to.
-const CAL_MIN_BUCKETS: usize = 16;
-/// Initial bucket width before the first content-driven resize (ns).
-const CAL_INITIAL_WIDTH: u64 = 1024;
-
-/// A calendar queue (Brown-style bucketed timing wheel): the default
-/// event queue, with amortized O(1) insert and extract-min.
-///
-/// Time is divided into `width`-ns *days*, mapped round-robin onto
-/// `buckets.len()` unsorted buckets; one lap of the calendar is a
-/// *year*. Extract-min scans at most one year of buckets starting at
-/// the current cursor day and picks the smallest `(time, seq)` entry
-/// of the first populated in-window bucket; if a whole year is empty
-/// (entries far in the future), it falls back to a global minimum scan
-/// and jumps the cursor there. The queue resizes (doubling/halving the
-/// bucket count, re-deriving the width from the live entries' time
-/// span) when the load factor leaves `[0.5, 2]`, keeping buckets O(1)
-/// in the steady state.
-///
-/// Determinism: bucket placement and scan order depend only on queue
-/// content, and the in-bucket minimum is taken over the total
-/// `(time, seq)` key, so pops are bit-identical to the
-/// [`ReferenceHeap`]'s.
-pub struct CalendarQueue<E> {
-    buckets: Vec<Vec<Entry<E>>>,
-    /// Bucket width in nanoseconds (a "day").
-    width: u64,
-    count: usize,
-    /// Lower bound on every pending entry's time: the last popped
-    /// time (or zero). The extract scan starts at this day.
-    cursor: Nanos,
-    /// Cached location of the current minimum entry:
-    /// `(bucket, slot, key)`. Valid until the next structural change;
-    /// pushes keep it fresh (appends never move existing slots).
-    min_pos: Option<(usize, usize, (Nanos, u64))>,
-}
-
-impl<E> Default for CalendarQueue<E> {
-    fn default() -> Self {
-        CalendarQueue {
-            buckets: (0..CAL_MIN_BUCKETS).map(|_| Vec::new()).collect(),
-            width: CAL_INITIAL_WIDTH,
-            count: 0,
-            cursor: Nanos::ZERO,
-            min_pos: None,
-        }
-    }
-}
-
-impl<E> CalendarQueue<E> {
-    fn bucket_of(&self, at: Nanos) -> usize {
-        // Bucket count is a power of two, so the modulo is a mask.
-        ((at.0 / self.width) as usize) & (self.buckets.len() - 1)
-    }
-
-    /// Locates the minimum-`(time, seq)` entry, caching its position.
-    fn find_min(&mut self) -> Option<(usize, usize, (Nanos, u64))> {
-        if self.min_pos.is_some() {
-            return self.min_pos;
-        }
-        if self.count == 0 {
-            return None;
-        }
-        let n = self.buckets.len();
-        // One calendar year starting at the cursor's day: bucket k of
-        // the lap covers times [day_floor + k*width, day_floor +
-        // (k+1)*width). The first populated in-window bucket holds the
-        // global minimum (later buckets' windows start later; earlier
-        // buckets recur a whole year on).
-        let day_floor = self.cursor.0 - (self.cursor.0 % self.width);
-        let start = self.bucket_of(Nanos(day_floor));
-        for k in 0..n {
-            let idx = (start + k) & (n - 1);
-            let window_end = day_floor.saturating_add((k as u64 + 1).saturating_mul(self.width));
-            let best = self.buckets[idx]
-                .iter()
-                .enumerate()
-                .filter(|(_, e)| e.at.0 < window_end)
-                .min_by_key(|(_, e)| e.key());
-            if let Some((slot, e)) = best {
-                self.min_pos = Some((idx, slot, e.key()));
-                return self.min_pos;
-            }
-        }
-        // Sparse tail: every entry lies a year or more past the
-        // cursor. Global scan, then jump the cursor to the minimum.
-        let mut best: Option<(usize, usize, (Nanos, u64))> = None;
-        for (idx, bucket) in self.buckets.iter().enumerate() {
-            for (slot, e) in bucket.iter().enumerate() {
-                if best.is_none_or(|(_, _, key)| e.key() < key) {
-                    best = Some((idx, slot, e.key()));
-                }
-            }
-        }
-        self.min_pos = best;
-        self.min_pos
-    }
-
-    /// Doubles/halves the calendar when the load factor leaves
-    /// `[0.5, 2]`, re-deriving the bucket width from the live entries'
-    /// span so one day holds O(1) events in the steady state.
-    fn maybe_resize(&mut self) {
-        let n = self.buckets.len();
-        let new_n = if self.count > 2 * n {
-            n * 2
-        } else if self.count < n / 2 && n > CAL_MIN_BUCKETS {
-            n / 2
-        } else {
-            return;
-        };
-        let mut lo = u64::MAX;
-        let mut hi = 0u64;
-        for b in &self.buckets {
-            for e in b {
-                lo = lo.min(e.at.0);
-                hi = hi.max(e.at.0);
-            }
-        }
-        // Average inter-event gap, clamped to a power of two so the
-        // day index stays a shift+mask. A collapsed span (all events
-        // in one instant) keeps the current width.
-        if hi > lo {
-            let gap = ((hi - lo) / self.count as u64).max(1);
-            self.width = gap.next_power_of_two();
-        }
-        let old = std::mem::replace(&mut self.buckets, (0..new_n).map(|_| Vec::new()).collect());
-        for e in old.into_iter().flatten() {
-            let idx = self.bucket_of(e.at);
-            self.buckets[idx].push(e);
-        }
-        self.min_pos = None;
-    }
-}
-
-impl<E> EventQueueCore<E> for CalendarQueue<E> {
-    fn push(&mut self, at: Nanos, seq: u64, ev: E) {
-        // Keep the cursor a true lower bound even if a caller pushes
-        // behind it (the Scheduler never does; this keeps the queue
-        // correct as a standalone structure).
-        if self.count == 0 || at < self.cursor {
-            self.cursor = at;
-            self.min_pos = None;
-        }
-        let idx = self.bucket_of(at);
-        self.buckets[idx].push(Entry { at, seq, ev });
-        self.count += 1;
-        // Appends never move existing entries, so a cached minimum
-        // stays valid unless the new entry beats it.
-        match self.min_pos {
-            Some((_, _, key)) if (at, seq) < key => {
-                self.min_pos = Some((idx, self.buckets[idx].len() - 1, (at, seq)));
-            }
-            _ => {}
-        }
-        self.maybe_resize();
-    }
-
-    fn pop_min(&mut self) -> Option<(Nanos, u64, E)> {
-        let (idx, slot, key) = self.find_min()?;
-        let e = self.buckets[idx].swap_remove(slot);
-        debug_assert_eq!(e.key(), key, "cached minimum went stale");
-        self.count -= 1;
-        self.cursor = e.at;
-        self.min_pos = None;
-        self.maybe_resize();
-        Some((e.at, e.seq, e.ev))
-    }
-
-    fn peek_min(&mut self) -> Option<(Nanos, u64)> {
-        self.find_min().map(|(_, _, key)| key)
-    }
-
-    fn len(&self) -> usize {
-        self.count
-    }
-
-    fn clear(&mut self) {
-        for b in &mut self.buckets {
-            b.clear();
-        }
-        self.count = 0;
-        self.min_pos = None;
-    }
-}
-
-impl<E> EventQueue<E> for CalendarQueue<E> {}
-
-/// Which queue implementation backs a [`Scheduler`].
-enum QueueImpl<E> {
-    Calendar(CalendarQueue<E>),
-    Heap(ReferenceHeap<E>),
-}
-
-impl<E> QueueImpl<E> {
-    fn as_core(&mut self) -> &mut dyn EventQueueCore<E> {
-        match self {
-            QueueImpl::Calendar(q) => q,
-            QueueImpl::Heap(q) => q,
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            QueueImpl::Calendar(q) => q.len(),
-            QueueImpl::Heap(q) => q.len(),
-        }
-    }
-}
-
 /// A deterministic future-event queue.
 ///
 /// Events with equal timestamps are delivered in the order they were
 /// scheduled (FIFO tie-break), which keeps simulations reproducible.
-/// Backed by a [`CalendarQueue`] by default;
-/// [`Scheduler::with_reference_heap`] selects the [`ReferenceHeap`]
-/// instead — both produce bit-identical dispatch order.
 pub struct Scheduler<E> {
-    queue: QueueImpl<E>,
+    heap: BinaryHeap<Reverse<Entry<E>>>,
     seq: u64,
     now: Nanos,
 }
 
 impl<E> Scheduler<E> {
-    /// Creates an empty scheduler at time zero, backed by the default
-    /// [`CalendarQueue`].
+    /// Creates an empty scheduler at time zero.
     pub fn new() -> Scheduler<E> {
         Scheduler {
-            queue: QueueImpl::Calendar(CalendarQueue::default()),
-            seq: 0,
-            now: Nanos::ZERO,
-        }
-    }
-
-    /// Creates an empty scheduler backed by the [`ReferenceHeap`] —
-    /// the original binary-heap queue, kept for differential testing
-    /// against the calendar queue.
-    pub fn with_reference_heap() -> Scheduler<E> {
-        Scheduler {
-            queue: QueueImpl::Heap(ReferenceHeap::default()),
+            heap: BinaryHeap::new(),
             seq: 0,
             now: Nanos::ZERO,
         }
@@ -397,13 +86,7 @@ impl<E> Scheduler<E> {
         );
         let seq = self.seq;
         self.seq += 1;
-        self.queue.as_core().push(at, seq, ev);
-    }
-
-    /// Schedules `ev` to fire `delay` after the current time.
-    pub fn schedule_in(&mut self, delay: Nanos, ev: E) {
-        let at = self.now + delay;
-        self.schedule(at, ev);
+        self.heap.push(Reverse(Entry { at, seq, ev }));
     }
 
     /// The current simulation time (the timestamp of the event being
@@ -412,34 +95,19 @@ impl<E> Scheduler<E> {
         self.now
     }
 
-    /// Number of pending events.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// True if no events remain.
-    pub fn is_empty(&self) -> bool {
-        self.queue.len() == 0
-    }
-
     /// Pops the next event, advancing the clock to its timestamp.
     ///
     /// Returns `None` when the queue is empty.
     pub fn pop(&mut self) -> Option<(Nanos, E)> {
-        let (at, _seq, ev) = self.queue.as_core().pop_min()?;
-        debug_assert!(at >= self.now, "event queue went backwards");
-        self.now = at;
-        Some((at, ev))
+        let Reverse(e) = self.heap.pop()?;
+        debug_assert!(e.at >= self.now, "event queue went backwards");
+        self.now = e.at;
+        Some((e.at, e.ev))
     }
 
     /// Timestamp of the next pending event, if any.
-    pub fn peek_time(&mut self) -> Option<Nanos> {
-        self.queue.as_core().peek_min().map(|(at, _)| at)
-    }
-
-    /// Discards all pending events without dispatching them.
-    pub fn clear(&mut self) {
-        self.queue.as_core().clear();
+    pub fn peek_time(&self) -> Option<Nanos> {
+        self.heap.peek().map(|Reverse(e)| e.at)
     }
 }
 
@@ -463,31 +131,6 @@ pub fn run<W: World>(world: &mut W, sched: &mut Scheduler<W::Event>, until: Nano
         let (now, ev) = sched.pop().expect("peeked event must pop");
         world.handle(now, ev, sched);
         last = now;
-    }
-    last
-}
-
-/// Runs the world until `predicate(world)` becomes true, the queue
-/// drains, or `until` is exceeded. Returns the final simulation time.
-///
-/// The predicate is checked after every dispatched event.
-pub fn run_until<W: World>(
-    world: &mut W,
-    sched: &mut Scheduler<W::Event>,
-    until: Nanos,
-    mut predicate: impl FnMut(&W) -> bool,
-) -> Nanos {
-    let mut last = sched.now();
-    while let Some(next) = sched.peek_time() {
-        if next > until {
-            break;
-        }
-        let (now, ev) = sched.pop().expect("peeked event must pop");
-        world.handle(now, ev, sched);
-        last = now;
-        if predicate(world) {
-            break;
-        }
     }
     last
 }
@@ -629,6 +272,8 @@ impl Profiler {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::VecDeque;
+
     use super::*;
 
     struct Recorder {
@@ -674,7 +319,8 @@ mod tests {
         let end = run(&mut w, &mut s, Nanos(20));
         assert_eq!(w.seen, vec![1, 2]);
         assert_eq!(end, Nanos(20));
-        assert_eq!(s.pending(), 1);
+        assert_eq!(s.pop(), Some((Nanos(21), 3)));
+        assert_eq!(s.pop(), None);
     }
 
     #[test]
@@ -690,39 +336,6 @@ mod tests {
         let mut s = Scheduler::new();
         s.schedule(Nanos(10), ());
         run(&mut Bad, &mut s, Nanos::MAX);
-    }
-
-    #[test]
-    fn run_until_predicate_stops_early() {
-        let mut w = Recorder { seen: vec![] };
-        let mut s = Scheduler::new();
-        for i in 0..10 {
-            s.schedule(Nanos(i as u64 * 10), i);
-        }
-        run_until(&mut w, &mut s, Nanos::MAX, |w| w.seen.len() == 4);
-        assert_eq!(w.seen, vec![0, 1, 2, 3]);
-        assert_eq!(s.pending(), 6);
-    }
-
-    #[test]
-    fn schedule_in_is_relative_to_now() {
-        struct Chain {
-            times: Vec<Nanos>,
-        }
-        impl World for Chain {
-            type Event = ();
-            fn handle(&mut self, now: Nanos, _: (), s: &mut Scheduler<()>) {
-                self.times.push(now);
-                if self.times.len() < 3 {
-                    s.schedule_in(Nanos(7), ());
-                }
-            }
-        }
-        let mut w = Chain { times: vec![] };
-        let mut s = Scheduler::new();
-        s.schedule(Nanos(1), ());
-        run(&mut w, &mut s, Nanos::MAX);
-        assert_eq!(w.times, vec![Nanos(1), Nanos(8), Nanos(15)]);
     }
 
     #[test]
@@ -746,153 +359,55 @@ mod tests {
         assert!(rep.events_per_wall_s > 0.0);
     }
 
-    #[test]
-    fn clear_discards_pending() {
-        let mut s: Scheduler<u32> = Scheduler::new();
-        s.schedule(Nanos(1), 1);
-        s.schedule(Nanos(2), 2);
-        s.clear();
-        assert!(s.is_empty());
-        assert_eq!(s.pop().map(|(_, e)| e), None);
-    }
-
-    // -------------------------------------------------------------
-    // Calendar queue vs reference heap: differential tests
-    // -------------------------------------------------------------
-
-    /// Drives both schedulers through the same deterministic workload
-    /// of interleaved schedules and pops, asserting bit-identical
-    /// dispatch sequences.
-    fn differential(seed: u64, ops: usize, max_gap: u64, burst: u64) {
+    /// Drives a scheduler through a seeded workload of interleaved
+    /// bursts of schedules and pops, checking every pop (and the final
+    /// drain) against a model: the pending list stably sorted by time,
+    /// so equal times come out in the order they were scheduled.
+    fn differential(seed: u64, ops: usize, burst: u64, gap: impl Fn(&mut crate::rng::Rng) -> u64) {
         let mut rng = crate::rng::Rng::new(seed);
-        let mut cal: Scheduler<u64> = Scheduler::new();
-        let mut heap: Scheduler<u64> = Scheduler::with_reference_heap();
+        let mut sched: Scheduler<u64> = Scheduler::new();
+        // Kept stably sorted by time after every burst of schedules.
+        let mut model: VecDeque<(Nanos, u64)> = VecDeque::new();
         let mut payload = 0u64;
         for _ in 0..ops {
             let r = rng.next_u64();
-            if r % 100 < 60 || cal.is_empty() {
+            if r % 100 < 60 || model.is_empty() {
                 // Schedule 1..=burst events at (possibly equal) times
                 // at or after the current clock.
-                let n = 1 + r % burst;
-                for _ in 0..n {
-                    let gap = rng.next_u64() % max_gap;
-                    let at = Nanos(cal.now().0 + gap);
-                    cal.schedule(at, payload);
-                    heap.schedule(at, payload);
+                for _ in 0..1 + r % burst {
+                    let at = Nanos(sched.now().0 + gap(&mut rng));
+                    sched.schedule(at, payload);
+                    model.push_back((at, payload));
                     payload += 1;
                 }
+                model.make_contiguous().sort_by_key(|&(at, _)| at);
             } else {
-                let a = cal.pop();
-                let b = heap.pop();
-                assert_eq!(a, b, "divergent pop (seed {seed})");
+                assert_eq!(
+                    sched.pop(),
+                    model.pop_front(),
+                    "divergent pop (seed {seed})"
+                );
             }
-            assert_eq!(cal.pending(), heap.pending());
-            assert_eq!(cal.peek_time(), heap.peek_time());
+            let next = model.front().map(|&(at, _)| at);
+            assert_eq!(sched.peek_time(), next, "divergent peek (seed {seed})");
         }
-        // Drain both completely.
-        loop {
-            let a = cal.pop();
-            let b = heap.pop();
-            assert_eq!(a, b, "divergent drain (seed {seed})");
-            if a.is_none() {
-                break;
-            }
+        while let Some(want) = model.pop_front() {
+            assert_eq!(sched.pop(), Some(want), "divergent drain (seed {seed})");
         }
+        assert_eq!(sched.pop(), None);
     }
 
     #[test]
-    fn calendar_matches_heap_dense_ns_grain() {
-        // Dense ns-scale gaps with heavy same-time bursts: exercises
-        // FIFO tie-break inside single buckets and resizing upward.
-        differential(1, 4_000, 50, 8);
-    }
-
-    #[test]
-    fn calendar_matches_heap_sparse_ms_grain() {
-        // Sparse ms-scale gaps: entries land whole years past the
-        // cursor, exercising the global-scan fallback.
-        differential(2, 2_000, 5_000_000, 2);
-    }
-
-    #[test]
-    fn calendar_matches_heap_mixed_scales() {
-        // Mixed ns..s gaps in one run: forces repeated width
-        // re-derivation as the time span stretches.
-        let mut rng = crate::rng::Rng::new(7);
-        let mut cal: Scheduler<u32> = Scheduler::new();
-        let mut heap: Scheduler<u32> = Scheduler::with_reference_heap();
-        let mut i = 0u32;
-        for _ in 0..3_000 {
-            let r = rng.next_u64();
-            if r % 10 < 6 || cal.is_empty() {
-                // Gap magnitude spans 9 decades.
-                let mag = 10u64.pow((rng.next_u64() % 9) as u32);
-                let at = Nanos(cal.now().0 + rng.next_u64() % mag);
-                cal.schedule(at, i);
-                heap.schedule(at, i);
-                i += 1;
-            } else {
-                assert_eq!(cal.pop(), heap.pop());
-            }
-        }
-        while !cal.is_empty() {
-            assert_eq!(cal.pop(), heap.pop());
-        }
-        assert!(heap.is_empty());
-    }
-
-    #[test]
-    fn heap_backed_world_runs_identically() {
-        // The same self-scheduling world, run under both queues,
-        // produces identical dispatch traces and final times.
-        struct Chain {
-            rng: crate::rng::Rng,
-            trace: Vec<(Nanos, u32)>,
-        }
-        impl World for Chain {
-            type Event = u32;
-            fn handle(&mut self, now: Nanos, ev: u32, s: &mut Scheduler<u32>) {
-                self.trace.push((now, ev));
-                // Bound the run by dispatch count; fan out unevenly
-                // (sometimes two children, with same-time collisions),
-                // pruned back to one past the halfway mark so the
-                // population both grows and drains.
-                if self.trace.len() < 4_000 {
-                    let gap = self.rng.next_u64() % 64;
-                    s.schedule(now + Nanos(gap), ev + 1);
-                    if ev.is_multiple_of(3) && self.trace.len() < 2_000 {
-                        s.schedule(now + Nanos(gap), ev + 2);
-                    }
-                }
-            }
-        }
-        let mut runs = Vec::new();
-        for heap in [false, true] {
-            let mut w = Chain {
-                rng: crate::rng::Rng::new(99),
-                trace: vec![],
-            };
-            let mut s = if heap {
-                Scheduler::with_reference_heap()
-            } else {
-                Scheduler::new()
-            };
-            s.schedule(Nanos(0), 0);
-            let end = run(&mut w, &mut s, Nanos::MAX);
-            runs.push((w.trace, end));
-        }
-        assert_eq!(runs[0], runs[1]);
-    }
-
-    #[test]
-    fn calendar_clear_then_reuse() {
-        let mut s: Scheduler<u32> = Scheduler::new();
-        for i in 0..100 {
-            s.schedule(Nanos(i), i as u32);
-        }
-        s.clear();
-        assert!(s.is_empty());
-        s.schedule(Nanos(1_000_000), 7);
-        assert_eq!(s.pop(), Some((Nanos(1_000_000), 7)));
+    fn pops_match_a_stable_sort_by_time() {
+        // Dense ns-scale gaps with heavy same-time bursts.
+        differential(1, 4_000, 8, |rng| rng.next_u64() % 50);
+        // Sparse ms-scale gaps: ties are rare, order is by time alone.
+        differential(2, 2_000, 2, |rng| rng.next_u64() % 5_000_000);
+        // Gap magnitudes spanning 9 decades; the smallest decade is a
+        // zero gap, so bursts also land on the current instant.
+        differential(7, 3_000, 4, |rng| {
+            let mag = 10u64.pow((rng.next_u64() % 9) as u32);
+            rng.next_u64() % mag
+        });
     }
 }

@@ -28,11 +28,6 @@ pub const RULES: &[RuleMeta] = &[
         motivation: "the simulation must be a pure function of its seed; host time/entropy breaks bit-identical --check replays",
     },
     RuleMeta {
-        id: "fabric-peek",
-        summary: "Fabric::peek/peek_settled outside tests; use load()/dma_read()",
-        motivation: "peek bypasses caches, latency, and the coherence auditor (formerly clippy.toml disallowed-methods)",
-    },
-    RuleMeta {
         id: "float-accum",
         summary: "f32/f64 accumulation inside a loop over an unordered container",
         motivation: "float addition is not associative: unordered iteration makes sums drift between runs",
@@ -56,11 +51,6 @@ pub const RULES: &[RuleMeta] = &[
         id: "sim-time-arith",
         summary: "raw u64 nanosecond arithmetic (`Nanos(a - b)`, `.as_nanos() +`) that wraps silently in release builds",
         motivation: "an out-of-order instant subtraction underflows to ~584 years and the scheduler will happily sleep for it",
-    },
-    RuleMeta {
-        id: "policy-sync",
-        summary: "clippy.toml disallowed-methods and simlint's fabric-peek method list have drifted",
-        motivation: "the peek policy must live in one place; drift means one checker silently stopped covering a method",
     },
     RuleMeta {
         id: "bad-suppression",

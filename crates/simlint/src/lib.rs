@@ -30,7 +30,7 @@ pub mod parser;
 pub mod rules;
 pub mod source;
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -155,7 +155,7 @@ fn apply_suppressions(ctx: &FileCtx, raw: Vec<Diagnostic>) -> (Vec<Diagnostic>, 
 }
 
 /// Lints the whole workspace rooted at `root`: every discovered file
-/// plus the clippy.toml policy-sync check.
+/// plus the `wall-clock-allowlist` self-check.
 pub fn lint_workspace(root: &Path) -> io::Result<Report> {
     let files = discover(root)?;
     let mut findings = Vec::new();
@@ -178,7 +178,6 @@ pub fn lint_workspace(root: &Path) -> io::Result<Report> {
         suppressed += s;
         n_files += 1;
     }
-    findings.extend(check_policy_sync(root));
     findings.extend(check_wall_clock_allowlist(&wall_clock_sites));
     sort_findings(&mut findings);
     Ok(Report {
@@ -193,43 +192,6 @@ pub fn sort_findings(findings: &mut [Diagnostic]) {
     findings.sort_by(|a, b| {
         (a.path.as_str(), a.line, a.col, a.rule).cmp(&(b.path.as_str(), b.line, b.col, b.rule))
     });
-}
-
-/// The `policy-sync` self-check: clippy.toml's `disallowed-methods`
-/// and R3's built-in list must name exactly the same methods, so the
-/// peek policy can never fork. A missing clippy.toml is itself drift.
-pub fn check_policy_sync(root: &Path) -> Vec<Diagnostic> {
-    let path = root.join("clippy.toml");
-    let diag = |msg: String| Diagnostic {
-        rule: "policy-sync",
-        path: "clippy.toml".to_string(),
-        line: 1,
-        col: 1,
-        msg,
-    };
-    let Ok(toml) = fs::read_to_string(&path) else {
-        return vec![diag(
-            "clippy.toml not found at workspace root; the disallowed-methods policy is gone"
-                .to_string(),
-        )];
-    };
-    let clippy: BTreeSet<String> = parse_disallowed_paths(&toml).into_iter().collect();
-    let ours: BTreeSet<String> = rules::peek::DISALLOWED
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-    let mut out = Vec::new();
-    for missing in ours.difference(&clippy) {
-        out.push(diag(format!(
-            "`{missing}` is in simlint's fabric-peek list but not in clippy.toml disallowed-methods"
-        )));
-    }
-    for extra in clippy.difference(&ours) {
-        out.push(diag(format!(
-            "`{extra}` is in clippy.toml disallowed-methods but not in simlint's fabric-peek list"
-        )));
-    }
-    out
 }
 
 /// Counts `allow(wall-clock)` suppression directives in one file, when
@@ -308,38 +270,12 @@ pub fn check_wall_clock_allowlist(sites: &[(String, usize)]) -> Vec<Diagnostic> 
     out
 }
 
-/// Extracts `path = "…"` values from a clippy.toml `disallowed-methods`
-/// table. Textual, not a TOML parser: good enough for the shape this
-/// workspace uses, and drift in shape also surfaces as drift in
-/// content.
-fn parse_disallowed_paths(toml: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut in_table = false;
-    for line in toml.lines() {
-        let l = line.trim();
-        if l.starts_with("disallowed-methods") {
-            in_table = true;
-        } else if in_table && l.starts_with(']') && !l.contains('[') {
-            in_table = false;
-        }
-        if !in_table {
-            continue;
-        }
-        if let Some(rest) = l.split("path = \"").nth(1) {
-            if let Some(p) = rest.split('"').next() {
-                out.push(p.to_string());
-            }
-        }
-    }
-    out
-}
-
 /// Lints a fixture corpus: every `.rs` file under `dir`, where each
 /// file's first line must be a `// simlint-fixture: path=<rel-path>`
 /// header naming the workspace-relative path the engine should pretend
 /// the file lives at (so fixtures exercise sim-crate and test-crate
-/// classification without living there). Policy-sync is skipped — the
-/// corpus has no clippy.toml.
+/// classification without living there). The workspace-only
+/// `wall-clock-allowlist` self-check is skipped.
 pub fn lint_fixtures(dir: &Path) -> io::Result<Report> {
     let files = discover(dir)?;
     let mut findings = Vec::new();

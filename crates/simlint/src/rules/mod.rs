@@ -15,7 +15,6 @@ use crate::source::FileCtx;
 pub mod float_accum;
 pub mod flush_publish;
 pub mod hash_iter;
-pub mod peek;
 pub mod span_pair;
 pub mod time_arith;
 pub mod unwrap_datapath;
@@ -25,7 +24,6 @@ pub mod wall_clock;
 pub fn check_file(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
     hash_iter::check(ctx, out);
     wall_clock::check(ctx, out);
-    peek::check(ctx, out);
     float_accum::check(ctx, out);
     let ast = crate::parser::parse_file(ctx);
     span_pair::check(ctx, &ast, out);

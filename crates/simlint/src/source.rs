@@ -26,8 +26,8 @@ pub enum FileClass {
     /// itself).
     OtherProd,
     /// Test, bench-harness, example, or fixture code: every rule skips
-    /// these wholesale (tests may legitimately use `peek`, wall-clock
-    /// reads, and unordered iteration).
+    /// these wholesale (tests may legitimately use wall-clock reads and
+    /// unordered iteration).
     Test,
 }
 

@@ -33,12 +33,11 @@ fn fixture_corpus_matches_golden() {
 fn every_fixture_rule_fires_and_only_in_bad_files() {
     let report = simlint::lint_fixtures(&fixtures_dir()).expect("fixture corpus lints");
     // Each per-file rule must be exercised by at least one known-bad
-    // fixture (policy-sync is workspace-only: the corpus has no
-    // clippy.toml and lint_fixtures skips it).
+    // fixture (wall-clock-allowlist is workspace-only: lint_fixtures
+    // skips it).
     for rule in [
         "hash-iter",
         "wall-clock",
-        "fabric-peek",
         "float-accum",
         "span-pair",
         "bad-suppression",
