@@ -22,7 +22,7 @@ use cxl_pool_core::telemetry;
 use serde_json::Value;
 use simkit::metrics::MetricsConfig;
 use simkit::stats::Summary;
-use simkit::{Nanos, Profiler, ProfilerReport};
+use simkit::Nanos;
 use workgen::{
     Arrival, CapacityConfig, CapacityResult, ChurnSpec, ChurnTenant, Engine, FaultPlan, OpKind,
     RunReport, SloSpec, TenantSpec, WorkloadSpec,
@@ -233,14 +233,6 @@ pub fn search_config(scale: Scale) -> CapacityConfig {
 
 /// Runs the whole bench and returns the (deterministic) JSON document.
 pub fn run(cfg: &Config) -> Value {
-    run_profiled(cfg, &mut Profiler::start())
-}
-
-/// Like [`run`] but accounts wall-clock time, event counts and
-/// simulated time per bench stage into `prof`. The returned document
-/// never depends on the profiler — wall-clock readings stay out of the
-/// deterministic payload.
-pub fn run_profiled(cfg: &Config, prof: &mut Profiler) -> Value {
     let build = || PodSim::new(pod_params(cfg.seed));
     let base = base_spec(cfg.scale);
     let faulted = faulted_spec(cfg.scale);
@@ -258,27 +250,14 @@ pub fn run_profiled(cfg: &Config, prof: &mut Profiler) -> Value {
     if MetricsConfig::env_enabled() {
         pod.enable_metrics();
     }
-    let baseline = prof.measure("baseline", || engine.run(&mut pod, &base));
-    prof.add_events("baseline", baseline.ops);
-    prof.add_sim("baseline", baseline.elapsed);
+    let baseline = engine.run(&mut pod, &base);
     let snap = telemetry::snapshot(&pod);
     let audit = pod.audit_finalize();
 
     // Capacity: clean pod, then with the mid-run MHD failure.
     let search = search_config(cfg.scale);
-    let clean = prof.measure("capacity_clean", || {
-        workgen::capacity::search(build, &base, &search, cfg.seed)
-    });
-    let under_fault = prof.measure("capacity_fault", || {
-        workgen::capacity::search(build, &faulted, &search, cfg.seed)
-    });
-    for (name, result) in [("capacity_clean", &clean), ("capacity_fault", &under_fault)] {
-        prof.add_events(name, result.trials.len() as u64);
-        if let Some(r) = &result.report_at_capacity {
-            prof.add_events(name, r.ops);
-            prof.add_sim(name, r.elapsed);
-        }
-    }
+    let clean = workgen::capacity::search(build, &base, &search, cfg.seed);
+    let under_fault = workgen::capacity::search(build, &faulted, &search, cfg.seed);
 
     // Tenant churn A/B: the same seeded lifecycle schedule, once with
     // orchestrator live migration answering each event and once stuck
@@ -298,16 +277,12 @@ pub fn run_profiled(cfg: &Config, prof: &mut Profiler) -> Value {
         if MetricsConfig::env_enabled() {
             mig_pod.enable_metrics();
         }
-        let mig = prof.measure("churn_migrate", || engine.run(&mut mig_pod, &mig_spec));
-        prof.add_events("churn_migrate", mig.ops);
-        prof.add_sim("churn_migrate", mig.elapsed);
+        let mig = engine.run(&mut mig_pod, &mig_spec);
         let mig_snap = telemetry::snapshot(&mig_pod);
         let mig_audit = mig_pod.audit_finalize();
 
         let mut naive_pod = PodSim::new(churn_pod_params(cfg.seed));
-        let naive = prof.measure("churn_naive", || engine.run(&mut naive_pod, &naive_spec));
-        prof.add_events("churn_naive", naive.ops);
-        prof.add_sim("churn_naive", naive.elapsed);
+        let naive = engine.run(&mut naive_pod, &naive_spec);
 
         Some(churn_section(
             &mig_spec,
@@ -423,26 +398,16 @@ pub fn run_cli(args: &[String]) -> ExitCode {
     }
 
     let cfg = Config { seed, scale, churn };
-    let mut prof = Profiler::start();
-    let doc = run_profiled(&cfg, &mut prof);
-    // Capture the deterministic text *before* grafting the wall-clock
-    // self-profile on: `--check` compares this text against a rerun, so
-    // host-speed-dependent numbers must stay outside it.
+    let doc = run(&cfg);
     let text = serde_json::to_string_pretty(&doc).expect("serialize");
-    let report = prof.report();
-    let mut full = doc.clone();
-    if let Value::Object(fields) = &mut full {
-        fields.push(("sim_rate".to_string(), sim_rate_json(&report)));
-    }
-    let full_text = serde_json::to_string_pretty(&full).expect("serialize");
-    if let Err(e) = fs::write(&out, &full_text) {
+    if let Err(e) = fs::write(&out, &text) {
         eprintln!("workload: writing {out}: {e}");
         return ExitCode::FAILURE;
     }
-    print_summary(&full, &out);
+    print_summary(&doc, &out);
 
     if check {
-        match self_check(&cfg, &full, &text, &out) {
+        match self_check(&cfg, &doc, &out) {
             Ok(()) => println!("workload: self-check OK"),
             Err(e) => {
                 eprintln!("workload: self-check FAILED: {e}");
@@ -453,21 +418,18 @@ pub fn run_cli(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Re-runs the bench and validates the emitted document: determinism,
-/// structure, the two-domain pod shape, a positive clean capacity,
-/// strict degradation under the injected whole-domain outage, a clean
-/// coherence audit, and a positive DES self-profile. `doc` is the full
-/// emitted document (with `sim_rate`); `text` is the deterministic
-/// payload excluding it, which must reproduce bit for bit.
-fn self_check(cfg: &Config, doc: &Value, text: &str, out: &str) -> Result<(), String> {
+/// Re-runs the bench and validates the emitted document `doc`, written
+/// to `out`: determinism, structure, the two-domain pod shape, a
+/// positive clean capacity, strict degradation under the injected
+/// whole-domain outage and a clean coherence audit.
+fn self_check(cfg: &Config, doc: &Value, out: &str) -> Result<(), String> {
     // The file round-trips through the parser.
     let reread = fs::read_to_string(out).map_err(|e| format!("rereading {out}: {e}"))?;
     serde_json::from_str(&reread).map_err(|e| format!("reparsing {out}: {e:?}"))?;
 
-    // Same seed, same document, bit for bit. Wall-clock fields
-    // (`sim_rate`) are excluded from the comparison by construction.
+    // Same seed, same file, byte for byte.
     let again = serde_json::to_string_pretty(&run(cfg)).expect("serialize");
-    if again != text {
+    if again != reread {
         return Err("rerun with the same seed produced a different document".into());
     }
 
@@ -522,18 +484,6 @@ fn self_check(cfg: &Config, doc: &Value, text: &str, out: &str) -> Result<(), St
     let violations = getf(&["audit", "violations"])?;
     if violations != 0.0 {
         return Err(format!("coherence audit reported {violations} violations"));
-    }
-    let sim_rate = getf(&["sim_rate", "sim_ns_per_wall_s"])?;
-    if !sim_rate.is_finite() || sim_rate <= 0.0 {
-        return Err(format!(
-            "sim_rate.sim_ns_per_wall_s is {sim_rate}, expected > 0"
-        ));
-    }
-    let event_rate = getf(&["sim_rate", "events_per_wall_s"])?;
-    if !event_rate.is_finite() || event_rate <= 0.0 {
-        return Err(format!(
-            "sim_rate.events_per_wall_s is {event_rate}, expected > 0"
-        ));
     }
 
     // The churn section: live migration must keep every tenant's SLO
@@ -677,11 +627,6 @@ fn print_summary(doc: &Value, out: &str) {
             g(&["churn", "migrate", "blackout_ns", "p99"]) / 1_000.0,
         );
     }
-    println!(
-        "sim rate: {:.3e} sim-ns/wall-s, {:.0} measured ops/wall-s",
-        g(&["sim_rate", "sim_ns_per_wall_s"]),
-        g(&["sim_rate", "events_per_wall_s"]),
-    );
     println!("wrote {out}");
 }
 
@@ -698,34 +643,6 @@ fn obj(fields: Vec<(&str, Value)>) -> Value {
 
 fn num(x: f64) -> Value {
     Value::Number(x)
-}
-
-/// The DES self-profile, serialized. Wall-clock-dependent by design:
-/// these numbers describe the machine that ran the bench, not the
-/// simulation, and are excluded from the determinism comparison.
-fn sim_rate_json(r: &ProfilerReport) -> Value {
-    let subsystems: Vec<Value> = r
-        .rows
-        .iter()
-        .map(|s| {
-            obj(vec![
-                ("subsystem", Value::String(s.name.to_string())),
-                ("events", num(s.events as f64)),
-                ("wall_ns", num(s.wall_ns as f64)),
-                ("sim_ns", num(s.sim_ns as f64)),
-                ("events_per_wall_s", num(s.events_per_wall_s)),
-                ("sim_ns_per_wall_s", num(s.sim_ns_per_wall_s)),
-            ])
-        })
-        .collect();
-    obj(vec![
-        ("wall_ns", num(r.wall_ns as f64)),
-        ("events", num(r.events as f64)),
-        ("sim_ns", num(r.sim_ns as f64)),
-        ("events_per_wall_s", num(r.events_per_wall_s)),
-        ("sim_ns_per_wall_s", num(r.sim_ns_per_wall_s)),
-        ("subsystems", Value::Array(subsystems)),
-    ])
 }
 
 fn summary_json(s: &Summary) -> Value {

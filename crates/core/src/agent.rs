@@ -21,10 +21,10 @@ use shmem::channel::{
     plan_idle_passes, skip_idle_passes, ChannelReceiver, ChannelSend, ChannelSender,
 };
 use shmem::ring::{IdleSkip, PollOutcome};
-use simkit::trace::{self, Track};
+use simkit::trace::Track;
 use simkit::Nanos;
 
-use crate::proto::Msg;
+use crate::proto::{DevReq, Msg};
 use crate::vdev::DeviceKind;
 
 /// Who is on the other end of one of the agent's channel links.
@@ -52,6 +52,16 @@ pub struct Completion {
     pub status: u8,
     /// Device-reported completion time.
     pub at: Nanos,
+}
+
+/// What one [`Agent::execute`] call did to a device.
+#[derive(Clone, Debug)]
+pub struct DevCall {
+    /// When the CPU was done issuing the request: after the MMIO
+    /// doorbell write for a NIC, at the start for an SSD or accelerator.
+    pub doorbell: Nanos,
+    /// Device-reported completion time, or the device's error.
+    pub done: Result<Nanos, DeviceError>,
 }
 
 /// Where to notify when a posted RX buffer fills.
@@ -397,112 +407,91 @@ impl Agent {
         }
     }
 
+    /// Carries out one device request on local device `dev`, the
+    /// request's buffers already staged in the pool. The device starts
+    /// at `at`; a NIC request first pays its MMIO doorbell write. Both
+    /// the owner's local fast path and a forwarded [`Msg::Submit`] come
+    /// here. A device that is not attached here (or not of the
+    /// request's kind) fails the request.
+    pub fn execute(
+        &mut self,
+        fabric: &mut Fabric,
+        dev: DeviceId,
+        req: &DevReq,
+        at: Nanos,
+    ) -> DevCall {
+        let track = Track::HostCpu(self.host.0);
+        let nic_doorbell = self
+            .nics
+            .get(&dev)
+            .map_or(at, |nic| at + nic.doorbell_cost());
+        let (doorbell, done) = match *req {
+            DevReq::Tx { buf, len } => {
+                let done = self.nics.get_mut(&dev).map(|nic| {
+                    nic.ring_doorbell();
+                    if let Some(tr) = fabric.trace_mut() {
+                        tr.instant(track, "dev/doorbell", nic_doorbell);
+                    }
+                    let frame = nic.transmit(fabric, nic_doorbell, BufRef::Pool(buf), len)?;
+                    let exit = frame.wire_exit;
+                    self.out_frames.push((dev, frame));
+                    Ok(exit)
+                });
+                (nic_doorbell, done)
+            }
+            DevReq::RxPost { buf, len } => {
+                let done = self
+                    .nics
+                    .get_mut(&dev)
+                    .map(|nic| nic.post_rx(BufRef::Pool(buf), len).map(|()| nic_doorbell));
+                (nic_doorbell, done)
+            }
+            DevReq::SsdRead { lba, blocks, buf } => {
+                let done = self
+                    .ssds
+                    .get_mut(&dev)
+                    .map(|ssd| ssd.read(fabric, at, lba, u64::from(blocks), BufRef::Pool(buf)));
+                (at, done)
+            }
+            DevReq::SsdWrite { lba, blocks, buf } => {
+                let done = self
+                    .ssds
+                    .get_mut(&dev)
+                    .map(|ssd| ssd.write(fabric, at, lba, u64::from(blocks), BufRef::Pool(buf)));
+                (at, done)
+            }
+            DevReq::Accel { inbuf, len, outbuf } => {
+                let done = self.accels.get_mut(&dev).map(|acc| {
+                    acc.offload(fabric, at, BufRef::Pool(inbuf), len, BufRef::Pool(outbuf))
+                });
+                (at, done)
+            }
+        };
+        DevCall {
+            doorbell,
+            done: done.unwrap_or(Err(DeviceError::Failed(dev))),
+        }
+    }
+
     fn dispatch(&mut self, fabric: &mut Fabric, link_idx: usize, msg: Msg) {
         let host = self.host.0;
         match msg {
-            Msg::TxSubmit { op, dev, buf, len } => {
-                fabric.trace_push(op, trace::KIND_NIC);
+            Msg::Submit { op, dev, req } => {
+                fabric.trace_push(op, req.kind().as_u8());
                 self.trace_dispatch(fabric);
-                let clock = self.clock;
-                let result = match self.nics.get_mut(&dev) {
-                    Some(nic) => {
-                        let t = clock + nic.doorbell_cost();
-                        nic.ring_doorbell();
-                        if let Some(tr) = fabric.trace_mut() {
-                            tr.instant(Track::HostCpu(host), "dev/doorbell", t);
-                        }
-                        nic.transmit(fabric, t, BufRef::Pool(buf), len)
-                    }
-                    None => Err(DeviceError::Failed(dev)),
-                };
-                let result = result.map(|frame| {
-                    let at = frame.wire_exit;
-                    self.out_frames.push((dev, frame));
-                    at
-                });
-                self.complete(fabric, link_idx, op, dev, result);
-                fabric.trace_pop();
-            }
-            Msg::RxPost { op, dev, buf, len } => {
-                fabric.trace_push(op, trace::KIND_NIC);
-                self.trace_dispatch(fabric);
-                let clock = self.clock;
-                let result = match self.nics.get_mut(&dev) {
-                    Some(nic) => nic
-                        .post_rx(BufRef::Pool(buf), len)
-                        .map(|()| clock + nic.doorbell_cost()),
-                    None => Err(DeviceError::Failed(dev)),
-                };
-                if let Ok(t) = &result {
+                let call = self.execute(fabric, dev, &req, self.clock);
+                if let (DevReq::RxPost { .. }, Ok(t)) = (req, &call.done) {
                     // Remember whose buffer this is so the RX
                     // completion can be forwarded back.
                     self.rx_routes
                         .entry(dev)
                         .or_default()
                         .push_back(RxRoute::Link(link_idx));
-                    let t = *t;
                     if let Some(tr) = fabric.trace_mut() {
-                        tr.instant(Track::HostCpu(host), "dev/doorbell", t);
+                        tr.instant(Track::HostCpu(host), "dev/doorbell", *t);
                     }
                 }
-                self.complete(fabric, link_idx, op, dev, result);
-                fabric.trace_pop();
-            }
-            Msg::SsdRead {
-                op,
-                dev,
-                lba,
-                blocks,
-                buf,
-            } => {
-                fabric.trace_push(op, trace::KIND_SSD);
-                self.trace_dispatch(fabric);
-                let clock = self.clock;
-                let result = match self.ssds.get_mut(&dev) {
-                    Some(ssd) => ssd.read(fabric, clock, lba, blocks as u64, BufRef::Pool(buf)),
-                    None => Err(DeviceError::Failed(dev)),
-                };
-                self.complete(fabric, link_idx, op, dev, result);
-                fabric.trace_pop();
-            }
-            Msg::SsdWrite {
-                op,
-                dev,
-                lba,
-                blocks,
-                buf,
-            } => {
-                fabric.trace_push(op, trace::KIND_SSD);
-                self.trace_dispatch(fabric);
-                let clock = self.clock;
-                let result = match self.ssds.get_mut(&dev) {
-                    Some(ssd) => ssd.write(fabric, clock, lba, blocks as u64, BufRef::Pool(buf)),
-                    None => Err(DeviceError::Failed(dev)),
-                };
-                self.complete(fabric, link_idx, op, dev, result);
-                fabric.trace_pop();
-            }
-            Msg::AccelRun {
-                op,
-                dev,
-                inbuf,
-                len,
-                outbuf,
-            } => {
-                fabric.trace_push(op, trace::KIND_ACCEL);
-                self.trace_dispatch(fabric);
-                let clock = self.clock;
-                let result = match self.accels.get_mut(&dev) {
-                    Some(a) => a.offload(
-                        fabric,
-                        clock,
-                        BufRef::Pool(inbuf),
-                        len,
-                        BufRef::Pool(outbuf),
-                    ),
-                    None => Err(DeviceError::Failed(dev)),
-                };
-                self.complete(fabric, link_idx, op, dev, result);
+                self.complete(fabric, link_idx, op, dev, call.done);
                 fabric.trace_pop();
             }
             Msg::Done { op, status, at } => {
@@ -651,11 +640,13 @@ mod tests {
         a1.send_to(
             &mut f,
             Peer::Host(HostId(0)),
-            &Msg::TxSubmit {
+            &Msg::Submit {
                 op: 1,
                 dev: DeviceId(0),
-                buf: seg.base(),
-                len: 128,
+                req: DevReq::Tx {
+                    buf: seg.base(),
+                    len: 128,
+                },
             },
         )
         .expect("send");
@@ -681,11 +672,13 @@ mod tests {
         a1.send_to(
             &mut f,
             Peer::Host(HostId(0)),
-            &Msg::TxSubmit {
+            &Msg::Submit {
                 op: 7,
                 dev: DeviceId(0),
-                buf: seg.base(),
-                len: 64,
+                req: DevReq::Tx {
+                    buf: seg.base(),
+                    len: 64,
+                },
             },
         )
         .expect("send");
@@ -704,12 +697,14 @@ mod tests {
         a1.send_to(
             &mut f,
             Peer::Host(HostId(0)),
-            &Msg::SsdRead {
+            &Msg::Submit {
                 op: 3,
                 dev: DeviceId(99),
-                lba: 0,
-                blocks: 1,
-                buf: seg.base(),
+                req: DevReq::SsdRead {
+                    lba: 0,
+                    blocks: 1,
+                    buf: seg.base(),
+                },
             },
         )
         .expect("send");

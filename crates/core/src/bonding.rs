@@ -5,13 +5,17 @@
 //! [`BondedNic`] stripes a host's transmit stream round-robin across
 //! every live NIC in the pod — its own plus every remote one — so a
 //! single host can burst at the aggregate line rate of the rack.
+//!
+//! A bond forwards each frame's submit as soon as the payload stores
+//! are issued, without waiting for them to land: the attach agent's
+//! ring poll follows well behind, and the submit window keeps the
+//! owner's CPU off the staging latency.
 
 use cxl_fabric::HostId;
 use pcie_sim::DeviceId;
 use simkit::Nanos;
 
 use crate::pod::{PodSim, Submitted};
-use crate::proto::Msg;
 use crate::vdev::{DeviceKind, PoolError};
 
 /// A transmit bond over several pooled NICs.
@@ -104,14 +108,14 @@ impl BondedNic {
             }
             // A blocked ring means credits are in flight: drain one
             // more completion and retry once.
-            let sub = match self.submit_on(pod, dev, &payload) {
+            let sub = match pod.vnic_submit(self.owner, dev, &payload, false) {
                 Ok(s) => s,
                 Err(PoolError::ChannelBlocked) => {
                     while let Some(prev) = inflight.pop_front() {
                         let r = pod.await_submitted(self.owner, prev, deadline)?;
                         done = done.max(r.at);
                     }
-                    self.submit_on(pod, dev, &payload)?
+                    pod.vnic_submit(self.owner, dev, &payload, false)?
                 }
                 Err(e) => return Err(e),
             };
@@ -135,59 +139,7 @@ impl BondedNic {
     pub fn submit_one(&mut self, pod: &mut PodSim, payload: &[u8]) -> Result<Submitted, PoolError> {
         let dev = self.devs[self.next % self.devs.len()];
         self.next += 1;
-        self.submit_on(pod, dev, payload)
-    }
-
-    fn submit_on(
-        &self,
-        pod: &mut PodSim,
-        dev: DeviceId,
-        payload: &[u8],
-    ) -> Result<Submitted, PoolError> {
-        let owner = self.owner;
-        let attach = pod
-            .attach_of(dev)
-            .ok_or(PoolError::NoDevice(DeviceKind::Nic))?;
-        let buf = pod.io_buf(owner);
-        let now = pod.agents[owner.0 as usize].clock();
-        let staged = pod.fabric.nt_store(now, owner, buf, payload)?;
-        pod.agents[owner.0 as usize].advance_clock(now + Nanos(50));
-        if attach == owner {
-            let agent = &mut pod.agents[owner.0 as usize];
-            let Some(nic) = agent.nics.get_mut(&dev) else {
-                return Err(PoolError::Device(pcie_sim::DeviceError::Failed(dev)));
-            };
-            let t = staged + nic.doorbell_cost();
-            nic.ring_doorbell();
-            let frame = nic
-                .transmit(
-                    &mut pod.fabric,
-                    t,
-                    pcie_sim::BufRef::Pool(buf),
-                    payload.len() as u32,
-                )
-                .map_err(PoolError::Device)?;
-            let at = frame.wire_exit;
-            agent.out_frames.push((dev, frame));
-            return Ok(Submitted::Local(crate::pod::OpResult {
-                op: 0,
-                at,
-                local: true,
-            }));
-        }
-        let op = pod.take_op_id();
-        let msg = Msg::TxSubmit {
-            op,
-            dev,
-            buf,
-            len: payload.len() as u32,
-        };
-        pod.agents[owner.0 as usize].send_to(
-            &mut pod.fabric,
-            crate::agent::Peer::Host(attach),
-            &msg,
-        )?;
-        Ok(Submitted::Remote { op, dev, attach })
+        pod.vnic_submit(self.owner, dev, payload, false)
     }
 }
 
@@ -241,6 +193,23 @@ mod tests {
             results[1],
             results[0]
         );
+    }
+
+    #[test]
+    fn failed_local_nic_is_reported_upstream() {
+        let mut pod = PodSim::new(PodParams::new(2, 1));
+        let owner = HostId(0);
+        let dev = pod.orch.devices_of(DeviceKind::Nic)[0];
+        assert_eq!(pod.attach_of(dev), Some(owner));
+        let mut bond = BondedNic::over(owner, vec![dev]);
+        pod.fail_nic(dev);
+        let before = pod.agents[0].stats().failures_seen;
+        let err = bond.submit_one(&mut pod, &[7u8; 64]).unwrap_err();
+        assert_eq!(err, PoolError::Device(pcie_sim::DeviceError::Failed(dev)));
+        assert_eq!(pod.agents[0].stats().failures_seen, before + 1);
+        // The queued notice reaches the orchestrator like `vnic_send`'s.
+        pod.run_control(Nanos::from_millis(1));
+        assert!(!pod.orch.device(dev).expect("registered").up);
     }
 
     #[test]

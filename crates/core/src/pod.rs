@@ -10,12 +10,14 @@
 //! 2. forward the MMIO submission to the device's attach host,
 //! 3. poll for the completion message.
 //!
-//! When the assigned device happens to be local, the same call takes
-//! the fast path: plain doorbell + device queue, no forwarding.
+//! Every device kind takes the same path: the per-kind entry points
+//! stage their buffers and hand one [`DevReq`] to [`PodSim::submit`].
+//! When the assigned device happens to be local, `submit` takes the
+//! fast path: plain doorbell + device queue, no forwarding.
 
 use std::collections::HashMap;
 
-use cxl_fabric::{DomainId, Fabric, HostId, LinkId, MhdId, PodConfig};
+use cxl_fabric::{DomainId, Fabric, FabricError, HostId, LinkId, MhdId, PodConfig};
 use pcie_sim::nic::TxFrame;
 use pcie_sim::{Accelerator, BufRef, DeviceId, Nic, NicConfig, Ssd, SsdConfig};
 use simkit::metrics::{Labels, MetricId, MetricsConfig, MetricsRecorder};
@@ -25,7 +27,7 @@ use simkit::Nanos;
 use crate::agent::{Agent, Completion, Link, Peer};
 use crate::lifecycle::LifecycleStats;
 use crate::orchestrator::{AllocPolicy, Orchestrator};
-use crate::proto::Msg;
+use crate::proto::{DevReq, Msg};
 use crate::vdev::{DeviceKind, PoolError};
 
 /// Size of one client I/O buffer slot.
@@ -102,7 +104,7 @@ pub enum Submitted {
 /// Outcome of a completed pooled operation.
 #[derive(Clone, Copy, Debug)]
 pub struct OpResult {
-    /// Operation id.
+    /// Operation id (0 for a local RX post, which takes none).
     pub op: u64,
     /// Device-reported completion time.
     pub at: Nanos,
@@ -463,11 +465,11 @@ impl PodSim {
         end_of: impl Fn(&T) -> Option<Nanos>,
         f: impl FnOnce(&mut Self) -> Result<T, PoolError>,
     ) -> Result<T, PoolError> {
-        if !self.fabric.trace_enabled() {
+        let start = self.agents.get(owner.0 as usize).map(Agent::clock);
+        let Some(start) = start.filter(|_| self.fabric.trace_enabled()) else {
             return f(self);
-        }
+        };
         let op_hint = self.next_op;
-        let start = self.agents[owner.0 as usize].clock();
         self.fabric.trace_push(op_hint, kind);
         let r = f(self);
         self.fabric.trace_pop();
@@ -687,13 +689,17 @@ impl PodSim {
         self.orch.balance(&mut self.fabric, spread_pct)
     }
 
-    /// `host`'s current binding for `kind` (as known by its agent).
+    /// `host`'s current binding for `kind` (as known by its agent);
+    /// `None` for a host outside the pod.
     pub fn binding(&self, host: HostId, kind: DeviceKind) -> Option<DeviceId> {
-        self.agents[host.0 as usize].assigned.get(&kind).copied()
+        self.agents
+            .get(host.0 as usize)?
+            .assigned
+            .get(&kind)
+            .copied()
     }
 
-    /// Reserves a fresh operation id (for modules that build their own
-    /// forwarded submissions, like NIC bonding).
+    /// Reserves a fresh operation id.
     pub fn take_op_id(&mut self) -> u64 {
         let op = self.next_op;
         self.next_op += 1;
@@ -1025,6 +1031,141 @@ impl PodSim {
     }
 
     // -----------------------------------------------------------------
+    // Device requests
+    // -----------------------------------------------------------------
+
+    /// Submits `req` to device `dev` for `owner` without awaiting it;
+    /// pair with [`PodSim::await_submitted`]. `ready` is when the
+    /// request's staged input lands in the pool (`Nanos::ZERO` when it
+    /// has nothing staged, or staged it before the owner's clock).
+    ///
+    /// When `dev` is attached to `owner`, the request runs at once on
+    /// the local device ([`Agent::execute`]), starting when both the
+    /// owner's CPU and the input are ready. Otherwise the owner waits
+    /// for its input to land and forwards a [`Msg::Submit`] to the
+    /// attach host. An owner outside the pod has no binding of any kind:
+    /// `NotAssigned(kind)`.
+    pub fn submit(
+        &mut self,
+        owner: HostId,
+        dev: DeviceId,
+        req: DevReq,
+        ready: Nanos,
+    ) -> Result<Submitted, PoolError> {
+        let kind = req.kind();
+        let o = owner.0 as usize;
+        if o >= self.agents.len() {
+            return Err(PoolError::NotAssigned(kind));
+        }
+        let attach = self.attach_of(dev).ok_or(PoolError::NoDevice(kind))?;
+        if attach != owner {
+            let op = self.take_op_id();
+            let agent = &mut self.agents[o];
+            agent.advance_clock(ready);
+            let msg = Msg::Submit { op, dev, req };
+            agent.send_to(&mut self.fabric, Peer::Host(attach), &msg)?;
+            return Ok(Submitted::Remote { op, dev, attach });
+        }
+        let agent = &mut self.agents[o];
+        let rx_post = matches!(req, DevReq::RxPost { .. });
+        let call = agent.execute(&mut self.fabric, dev, &req, agent.clock().max(ready));
+        let at = match call.done {
+            Ok(at) => at,
+            // A refused local RX post (its ring is full) is
+            // back-pressure the owner sees first hand, not a fault.
+            Err(e) if rx_post => return Err(PoolError::Device(e)),
+            Err(e) => {
+                // A failed local device is reported upstream just like
+                // a remote one.
+                agent.report_failure(dev);
+                self.trace_dev_failed(owner, dev, call.doorbell);
+                return Err(PoolError::Device(e));
+            }
+        };
+        if rx_post {
+            // A local RX post only hands the NIC a descriptor: there is
+            // no completion to match, so it takes no op id, and the CPU
+            // does not wait out the doorbell write.
+            agent.note_local_rx(dev);
+            return Ok(Submitted::Local(OpResult {
+                op: 0,
+                at,
+                local: true,
+            }));
+        }
+        // The CPU is busy until its doorbell write retires (an SSD or
+        // accelerator request is issued at the start). The op id is
+        // taken only once the device accepted the request, so a failed
+        // local op leaves no span.
+        agent.advance_clock(call.doorbell);
+        let op = self.take_op_id();
+        Ok(Submitted::Local(OpResult {
+            op,
+            at,
+            local: true,
+        }))
+    }
+
+    /// Waits for a [`Submitted`] operation to complete.
+    pub fn await_submitted(
+        &mut self,
+        owner: HostId,
+        submitted: Submitted,
+        deadline: Nanos,
+    ) -> Result<OpResult, PoolError> {
+        match submitted {
+            Submitted::Local(r) => Ok(r),
+            Submitted::Remote { op, dev, attach } => self
+                .await_completion(owner, attach, dev, op, deadline)
+                .map(|c| OpResult {
+                    op,
+                    at: c.at,
+                    local: false,
+                }),
+        }
+    }
+
+    /// Writes `data` into a fresh I/O buffer of `owner` with
+    /// non-temporal stores issued at the owner's clock. Returns the
+    /// buffer and when the data lands in the pool; the owner's clock
+    /// does not move.
+    pub fn stage(&mut self, owner: HostId, data: &[u8]) -> Result<(u64, Nanos), PoolError> {
+        let Some(now) = self.agents.get(owner.0 as usize).map(Agent::clock) else {
+            return Err(FabricError::UnknownEntity(format!("{owner:?}")).into());
+        };
+        let buf = self.io_buf(owner);
+        let staged = self.fabric.nt_store(now, owner, buf, data)?;
+        Ok((buf, staged))
+    }
+
+    /// Stages `payload` and submits its transmit on NIC `dev` without
+    /// awaiting it. Issuing the stores costs the owner's CPU 50 ns, and
+    /// a local doorbell waits for the payload to land. A forwarded
+    /// submit waits too when `fence` is set; without it, it is sent as
+    /// soon as the stores are issued.
+    pub(crate) fn vnic_submit(
+        &mut self,
+        owner: HostId,
+        dev: DeviceId,
+        payload: &[u8],
+        fence: bool,
+    ) -> Result<Submitted, PoolError> {
+        let (buf, staged) = self.stage(owner, payload)?;
+        let agent = &mut self.agents[owner.0 as usize];
+        agent.advance_clock(agent.clock() + Nanos(50));
+        let local = self.attach_of(dev) == Some(owner);
+        let ready = if fence || local { staged } else { Nanos::ZERO };
+        let len = payload.len() as u32;
+        self.submit(owner, dev, DevReq::Tx { buf, len }, ready)
+    }
+
+    /// `owner`'s binding for `kind`, or `NotAssigned`.
+    fn bound(&self, owner: HostId, kind: DeviceKind) -> Result<DeviceId, PoolError> {
+        self.binding(owner, kind)
+            .ok_or(PoolError::NotAssigned(kind))
+    }
+
+    // -----------------------------------------------------------------
     // Virtual NIC
     // -----------------------------------------------------------------
 
@@ -1043,81 +1184,12 @@ impl PodSim {
             trace::KIND_NIC,
             "op/vnic_send",
             |r: &OpResult| Some(r.at),
-            |pod| pod.vnic_send_inner(owner, payload, deadline),
+            |pod| {
+                let dev = pod.bound(owner, DeviceKind::Nic)?;
+                let sub = pod.vnic_submit(owner, dev, payload, true)?;
+                pod.await_submitted(owner, sub, deadline)
+            },
         )
-    }
-
-    fn vnic_send_inner(
-        &mut self,
-        owner: HostId,
-        payload: &[u8],
-        deadline: Nanos,
-    ) -> Result<OpResult, PoolError> {
-        let dev = self
-            .binding(owner, DeviceKind::Nic)
-            .ok_or(PoolError::NotAssigned(DeviceKind::Nic))?;
-        let attach = self
-            .attach_of(dev)
-            .ok_or(PoolError::NoDevice(DeviceKind::Nic))?;
-        let buf = self.io_buf(owner);
-        let now = self.agents[owner.0 as usize].clock();
-        let staged = self.fabric.nt_store(now, owner, buf, payload)?;
-        self.agents[owner.0 as usize].advance_clock(now + Nanos(50));
-
-        if attach == owner {
-            // Fast path: local doorbell + transmit.
-            let agent = &mut self.agents[owner.0 as usize];
-            let Some(nic) = agent.nics.get_mut(&dev) else {
-                agent.report_failure(dev);
-                self.trace_dev_failed(owner, dev, now);
-                return Err(PoolError::Device(pcie_sim::DeviceError::Failed(dev)));
-            };
-            let t = staged + nic.doorbell_cost();
-            nic.ring_doorbell();
-            if let Some(tr) = self.fabric.trace_mut() {
-                tr.instant(Track::HostCpu(owner.0), "dev/doorbell", t);
-            }
-            let frame =
-                match nic.transmit(&mut self.fabric, t, BufRef::Pool(buf), payload.len() as u32) {
-                    Ok(f) => f,
-                    Err(e) => {
-                        // A failed local device is reported upstream just
-                        // like a remote one.
-                        agent.report_failure(dev);
-                        self.trace_dev_failed(owner, dev, t);
-                        return Err(PoolError::Device(e));
-                    }
-                };
-            let at = frame.wire_exit;
-            agent.out_frames.push((dev, frame));
-            agent.advance_clock(t);
-            let op = self.next_op;
-            self.next_op += 1;
-            return Ok(OpResult {
-                op,
-                at,
-                local: true,
-            });
-        }
-
-        let op = self.next_op;
-        self.next_op += 1;
-        let msg = Msg::TxSubmit {
-            op,
-            dev,
-            buf,
-            len: payload.len() as u32,
-        };
-        // Make sure the submit is not forwarded before the payload's NT
-        // store has landed.
-        self.agents[owner.0 as usize].advance_clock(staged);
-        self.agents[owner.0 as usize].send_to(&mut self.fabric, Peer::Host(attach), &msg)?;
-        self.await_completion(owner, attach, dev, op, deadline)
-            .map(|c| OpResult {
-                op,
-                at: c.at,
-                local: false,
-            })
     }
 
     /// Sends a batch of payloads through `owner`'s pooled NIC with one
@@ -1131,48 +1203,22 @@ impl PodSim {
         payloads: &[&[u8]],
         deadline: Nanos,
     ) -> Result<Vec<OpResult>, PoolError> {
-        let dev = self
-            .binding(owner, DeviceKind::Nic)
-            .ok_or(PoolError::NotAssigned(DeviceKind::Nic))?;
-        let attach = self
-            .attach_of(dev)
-            .ok_or(PoolError::NoDevice(DeviceKind::Nic))?;
-        if attach == owner {
+        let dev = self.bound(owner, DeviceKind::Nic)?;
+        if self.attach_of(dev) == Some(owner) {
             // Local: the fast path is already one doorbell per submit.
             return payloads
                 .iter()
                 .map(|p| self.vnic_send(owner, p, deadline))
                 .collect();
         }
-        // Stage and submit everything first.
-        let mut ops = Vec::with_capacity(payloads.len());
-        for payload in payloads {
-            let buf = self.io_buf(owner);
-            let now = self.agents[owner.0 as usize].clock();
-            let staged = self.fabric.nt_store(now, owner, buf, payload)?;
-            self.agents[owner.0 as usize].advance_clock(staged);
-            let op = self.next_op;
-            self.next_op += 1;
-            let msg = Msg::TxSubmit {
-                op,
-                dev,
-                buf,
-                len: payload.len() as u32,
-            };
-            self.agents[owner.0 as usize].send_to(&mut self.fabric, Peer::Host(attach), &msg)?;
-            ops.push(op);
-        }
+        let subs = payloads
+            .iter()
+            .map(|p| self.vnic_submit(owner, dev, p, true))
+            .collect::<Result<Vec<_>, _>>()?;
         // One polling phase covers the whole batch.
-        let mut out = Vec::with_capacity(ops.len());
-        for op in ops {
-            let c = self.await_completion(owner, attach, dev, op, deadline)?;
-            out.push(OpResult {
-                op,
-                at: c.at,
-                local: false,
-            });
-        }
-        Ok(out)
+        subs.into_iter()
+            .map(|sub| self.await_submitted(owner, sub, deadline))
+            .collect()
     }
 
     /// Posts one RX buffer on `owner`'s pooled NIC; returns the buffer's
@@ -1183,39 +1229,18 @@ impl PodSim {
             trace::KIND_NIC,
             "op/vnic_post_rx",
             |_| None,
-            |pod| pod.vnic_post_rx_inner(owner, deadline),
+            |pod| {
+                let dev = pod.bound(owner, DeviceKind::Nic)?;
+                let buf = pod.io_buf(owner);
+                let req = DevReq::RxPost {
+                    buf,
+                    len: IO_SLOT as u32,
+                };
+                let sub = pod.submit(owner, dev, req, Nanos::ZERO)?;
+                pod.await_submitted(owner, sub, deadline)?;
+                Ok(buf)
+            },
         )
-    }
-
-    fn vnic_post_rx_inner(&mut self, owner: HostId, deadline: Nanos) -> Result<u64, PoolError> {
-        let dev = self
-            .binding(owner, DeviceKind::Nic)
-            .ok_or(PoolError::NotAssigned(DeviceKind::Nic))?;
-        let attach = self
-            .attach_of(dev)
-            .ok_or(PoolError::NoDevice(DeviceKind::Nic))?;
-        let buf = self.io_buf(owner);
-        if attach == owner {
-            let agent = &mut self.agents[owner.0 as usize];
-            let nic = agent
-                .nics
-                .get_mut(&dev)
-                .ok_or(PoolError::Device(pcie_sim::DeviceError::Failed(dev)))?;
-            nic.post_rx(BufRef::Pool(buf), IO_SLOT as u32)?;
-            agent.note_local_rx(dev);
-            return Ok(buf);
-        }
-        let op = self.next_op;
-        self.next_op += 1;
-        let msg = Msg::RxPost {
-            op,
-            dev,
-            buf,
-            len: IO_SLOT as u32,
-        };
-        self.agents[owner.0 as usize].send_to(&mut self.fabric, Peer::Host(attach), &msg)?;
-        self.await_completion(owner, attach, dev, op, deadline)?;
-        Ok(buf)
     }
 
     /// A frame arrives from the wire at physical NIC `dev`; delivers it
@@ -1243,7 +1268,7 @@ impl PodSim {
         deadline: Nanos,
     ) -> Option<crate::agent::RxEvent> {
         loop {
-            let inbox = &mut self.agents[owner.0 as usize].rx_inbox;
+            let inbox = &mut self.agents.get_mut(owner.0 as usize)?.rx_inbox;
             if !inbox.is_empty() {
                 return Some(inbox.remove(0));
             }
@@ -1290,12 +1315,11 @@ impl PodSim {
             "op/vssd_read",
             |(_, r): &(u64, OpResult)| Some(r.at),
             |pod| {
-                let dev = pod
-                    .binding(owner, DeviceKind::Ssd)
-                    .ok_or(PoolError::NotAssigned(DeviceKind::Ssd))?;
+                let dev = pod.bound(owner, DeviceKind::Ssd)?;
                 let buf = pod.io_buf(owner);
-                let r = pod.ssd_op_on(owner, dev, lba, blocks, buf, false, deadline)?;
-                Ok((buf, r))
+                let req = DevReq::SsdRead { lba, blocks, buf };
+                let sub = pod.submit(owner, dev, req, Nanos::ZERO)?;
+                Ok((buf, pod.await_submitted(owner, sub, deadline)?))
             },
         )
     }
@@ -1316,115 +1340,12 @@ impl PodSim {
             "op/vssd_write",
             |r: &OpResult| Some(r.at),
             |pod| {
-                let dev = pod
-                    .binding(owner, DeviceKind::Ssd)
-                    .ok_or(PoolError::NotAssigned(DeviceKind::Ssd))?;
-                pod.ssd_op_on(owner, dev, lba, blocks, buf, true, deadline)
+                let dev = pod.bound(owner, DeviceKind::Ssd)?;
+                let req = DevReq::SsdWrite { lba, blocks, buf };
+                let sub = pod.submit(owner, dev, req, Nanos::ZERO)?;
+                pod.await_submitted(owner, sub, deadline)
             },
         )
-    }
-
-    /// Explicit-device SSD operation (used by striping, which spans
-    /// several SSDs at once).
-    #[allow(clippy::too_many_arguments)]
-    pub fn ssd_op_on(
-        &mut self,
-        owner: HostId,
-        dev: DeviceId,
-        lba: u64,
-        blocks: u32,
-        buf: u64,
-        write: bool,
-        deadline: Nanos,
-    ) -> Result<OpResult, PoolError> {
-        let submitted = self.ssd_submit_on(owner, dev, lba, blocks, buf, write)?;
-        self.await_submitted(owner, submitted, deadline)
-    }
-
-    /// Submits an SSD operation without waiting for its completion, so
-    /// callers can keep several devices busy in parallel (striping).
-    /// Pair with [`PodSim::await_submitted`].
-    pub fn ssd_submit_on(
-        &mut self,
-        owner: HostId,
-        dev: DeviceId,
-        lba: u64,
-        blocks: u32,
-        buf: u64,
-        write: bool,
-    ) -> Result<Submitted, PoolError> {
-        let attach = self
-            .attach_of(dev)
-            .ok_or(PoolError::NoDevice(DeviceKind::Ssd))?;
-        if attach == owner {
-            let agent = &mut self.agents[owner.0 as usize];
-            let now = agent.clock();
-            let Some(ssd) = agent.ssds.get_mut(&dev) else {
-                agent.report_failure(dev);
-                self.trace_dev_failed(owner, dev, now);
-                return Err(PoolError::Device(pcie_sim::DeviceError::Failed(dev)));
-            };
-            let result = if write {
-                ssd.write(&mut self.fabric, now, lba, blocks as u64, BufRef::Pool(buf))
-            } else {
-                ssd.read(&mut self.fabric, now, lba, blocks as u64, BufRef::Pool(buf))
-            };
-            let at = match result {
-                Ok(t) => t,
-                Err(e) => {
-                    agent.report_failure(dev);
-                    self.trace_dev_failed(owner, dev, now);
-                    return Err(PoolError::Device(e));
-                }
-            };
-            let op = self.next_op;
-            self.next_op += 1;
-            return Ok(Submitted::Local(OpResult {
-                op,
-                at,
-                local: true,
-            }));
-        }
-        let op = self.next_op;
-        self.next_op += 1;
-        let msg = if write {
-            Msg::SsdWrite {
-                op,
-                dev,
-                lba,
-                blocks,
-                buf,
-            }
-        } else {
-            Msg::SsdRead {
-                op,
-                dev,
-                lba,
-                blocks,
-                buf,
-            }
-        };
-        self.agents[owner.0 as usize].send_to(&mut self.fabric, Peer::Host(attach), &msg)?;
-        Ok(Submitted::Remote { op, dev, attach })
-    }
-
-    /// Waits for a [`Submitted`] operation to complete.
-    pub fn await_submitted(
-        &mut self,
-        owner: HostId,
-        submitted: Submitted,
-        deadline: Nanos,
-    ) -> Result<OpResult, PoolError> {
-        match submitted {
-            Submitted::Local(r) => Ok(r),
-            Submitted::Remote { op, dev, attach } => self
-                .await_completion(owner, attach, dev, op, deadline)
-                .map(|c| OpResult {
-                    op,
-                    at: c.at,
-                    local: false,
-                }),
-        }
     }
 
     // -----------------------------------------------------------------
@@ -1445,87 +1366,18 @@ impl PodSim {
             trace::KIND_ACCEL,
             "op/vaccel_run",
             |(_, r): &(u64, OpResult)| Some(r.at),
-            |pod| pod.vaccel_run_inner(owner, input, deadline),
+            |pod| {
+                let dev = pod.bound(owner, DeviceKind::Accel)?;
+                let (inbuf, staged) = pod.stage(owner, input)?;
+                let outbuf = pod.io_buf(owner);
+                // The job is issued once its input has landed.
+                pod.agents[owner.0 as usize].advance_clock(staged);
+                let len = input.len() as u32;
+                let req = DevReq::Accel { inbuf, len, outbuf };
+                let sub = pod.submit(owner, dev, req, staged)?;
+                Ok((outbuf, pod.await_submitted(owner, sub, deadline)?))
+            },
         )
-    }
-
-    fn vaccel_run_inner(
-        &mut self,
-        owner: HostId,
-        input: &[u8],
-        deadline: Nanos,
-    ) -> Result<(u64, OpResult), PoolError> {
-        let dev = self
-            .binding(owner, DeviceKind::Accel)
-            .ok_or(PoolError::NotAssigned(DeviceKind::Accel))?;
-        let inbuf = self.io_buf(owner);
-        let outbuf = self.io_buf(owner);
-        let now = self.agents[owner.0 as usize].clock();
-        let staged = self.fabric.nt_store(now, owner, inbuf, input)?;
-        self.agents[owner.0 as usize].advance_clock(staged);
-        let r = self.accel_run_on(owner, dev, inbuf, input.len() as u32, outbuf, deadline)?;
-        Ok((outbuf, r))
-    }
-
-    /// Explicit-device accelerator job on already-staged input.
-    pub fn accel_run_on(
-        &mut self,
-        owner: HostId,
-        dev: DeviceId,
-        inbuf: u64,
-        len: u32,
-        outbuf: u64,
-        deadline: Nanos,
-    ) -> Result<OpResult, PoolError> {
-        let attach = self
-            .attach_of(dev)
-            .ok_or(PoolError::NoDevice(DeviceKind::Accel))?;
-        if attach == owner {
-            let agent = &mut self.agents[owner.0 as usize];
-            let now = agent.clock();
-            let Some(acc) = agent.accels.get_mut(&dev) else {
-                agent.report_failure(dev);
-                self.trace_dev_failed(owner, dev, now);
-                return Err(PoolError::Device(pcie_sim::DeviceError::Failed(dev)));
-            };
-            let at = match acc.offload(
-                &mut self.fabric,
-                now,
-                BufRef::Pool(inbuf),
-                len,
-                BufRef::Pool(outbuf),
-            ) {
-                Ok(t) => t,
-                Err(e) => {
-                    agent.report_failure(dev);
-                    self.trace_dev_failed(owner, dev, now);
-                    return Err(PoolError::Device(e));
-                }
-            };
-            let op = self.next_op;
-            self.next_op += 1;
-            return Ok(OpResult {
-                op,
-                at,
-                local: true,
-            });
-        }
-        let op = self.next_op;
-        self.next_op += 1;
-        let msg = Msg::AccelRun {
-            op,
-            dev,
-            inbuf,
-            len,
-            outbuf,
-        };
-        self.agents[owner.0 as usize].send_to(&mut self.fabric, Peer::Host(attach), &msg)?;
-        self.await_completion(owner, attach, dev, op, deadline)
-            .map(|c| OpResult {
-                op,
-                at: c.at,
-                local: false,
-            })
     }
 
     // -----------------------------------------------------------------
@@ -2137,6 +1989,115 @@ mod tests {
             matches!(err, PoolError::RemoteFailed { dev, .. } if dev == accel),
             "{err:?}"
         );
+    }
+
+    #[test]
+    fn unknown_host_is_an_error_not_a_panic() {
+        let mut params = PodParams::new(2, 1);
+        params.ssd_hosts = vec![0];
+        params.accel_hosts = vec![0];
+        let mut pod = PodSim::new(params);
+        pod.enable_trace();
+        let (ghost, d) = (HostId(99), deadline());
+        let nic = PoolError::NotAssigned(DeviceKind::Nic);
+        let ssd = PoolError::NotAssigned(DeviceKind::Ssd);
+        assert_eq!(pod.binding(ghost, DeviceKind::Nic), None);
+        assert!(pod.stage(ghost, &[1u8; 64]).is_err());
+        assert_eq!(pod.vnic_send(ghost, &[1u8; 64], d).unwrap_err(), nic);
+        assert_eq!(
+            pod.vnic_send_batch(ghost, &[&[1u8; 64]], d).unwrap_err(),
+            nic
+        );
+        assert_eq!(pod.vnic_post_rx(ghost, d).unwrap_err(), nic);
+        assert!(pod.vnic_poll_rx(ghost, d).is_none());
+        assert_eq!(pod.vssd_read(ghost, 0, 1, d).unwrap_err(), ssd);
+        assert_eq!(pod.vssd_write(ghost, 0, 1, 0, d).unwrap_err(), ssd);
+        assert_eq!(
+            pod.vaccel_run(ghost, &[1u8; 64], d).unwrap_err(),
+            PoolError::NotAssigned(DeviceKind::Accel)
+        );
+        let dev = pod.binding(HostId(0), DeviceKind::Ssd).expect("ssd");
+        let req = DevReq::SsdRead {
+            lba: 0,
+            blocks: 1,
+            buf: 0,
+        };
+        assert_eq!(pod.submit(ghost, dev, req, Nanos::ZERO).unwrap_err(), ssd);
+    }
+
+    /// Runs `kind`'s entry point from `owner` and checks the data it
+    /// moved: the frame on the wire, an SSD block read back, the
+    /// accelerator's output.
+    fn outcome_cell(pod: &mut PodSim, owner: HostId, kind: DeviceKind) -> Result<(), PoolError> {
+        match kind {
+            DeviceKind::Nic => {
+                let payload: Vec<u8> = (0..300u32).map(|i| i as u8).collect();
+                pod.vnic_send(owner, &payload, deadline())?;
+                let dev = pod.binding(owner, kind).expect("nic");
+                assert_eq!(pod.take_frames(dev)[0].bytes, payload);
+            }
+            DeviceKind::Ssd => {
+                let block: Vec<u8> = (0..4096u32).map(|i| (i % 251) as u8).collect();
+                let (buf, staged) = pod.stage(owner, &block)?;
+                pod.agents[owner.0 as usize].advance_clock(staged);
+                pod.vssd_write(owner, 7, 1, buf, deadline())?;
+                let (rbuf, r) = pod.vssd_read(owner, 7, 1, deadline())?;
+                let (data, _) = pod.read_rx_payload(owner, rbuf, block.len(), r.at)?;
+                assert_eq!(data, block);
+            }
+            DeviceKind::Accel => {
+                let input: Vec<u8> = (0..256u32).map(|i| i as u8).collect();
+                let (outbuf, r) = pod.vaccel_run(owner, &input, deadline())?;
+                let (out, _) = pod.read_rx_payload(owner, outbuf, input.len(), r.at)?;
+                let want: Vec<u8> = input.iter().map(|b| b ^ 0xA5).collect();
+                assert_eq!(out, want);
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn local_and_forwarded_outcomes_agree() {
+        // Every device sits on host 0: host 0 takes the local fast path,
+        // host 1 forwards.
+        for kind in [DeviceKind::Nic, DeviceKind::Ssd, DeviceKind::Accel] {
+            for (owner, local) in [(HostId(0), true), (HostId(1), false)] {
+                for failed in [false, true] {
+                    let mut params = PodParams::new(2, 1);
+                    params.ssd_hosts = vec![0];
+                    params.accel_hosts = vec![0];
+                    let mut pod = PodSim::new(params);
+                    let dev = pod.binding(owner, kind).expect("bound");
+                    assert_eq!(pod.attach_of(dev), Some(HostId(0)));
+                    if failed {
+                        match kind {
+                            DeviceKind::Nic => pod.fail_nic(dev),
+                            DeviceKind::Ssd => pod.fail_ssd(dev),
+                            DeviceKind::Accel => pod.fail_accel(dev),
+                        }
+                    }
+                    let seen = |pod: &PodSim| -> u64 {
+                        pod.agents.iter().map(|a| a.stats().failures_seen).sum()
+                    };
+                    let before = seen(&pod);
+                    let r = outcome_cell(&mut pod, owner, kind);
+                    let cell = format!("{kind:?} local={local} failed={failed}");
+                    match (failed, local) {
+                        (false, _) => assert_eq!(r, Ok(()), "{cell}"),
+                        (true, true) => assert_eq!(
+                            r,
+                            Err(PoolError::Device(pcie_sim::DeviceError::Failed(dev))),
+                            "{cell}"
+                        ),
+                        (true, false) => assert!(
+                            matches!(r, Err(PoolError::RemoteFailed { dev: d, .. }) if d == dev),
+                            "{cell}: {r:?}"
+                        ),
+                    }
+                    assert_eq!(seen(&pod) - before, u64::from(failed), "{cell}");
+                }
+            }
+        }
     }
 
     #[test]

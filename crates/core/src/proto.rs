@@ -8,39 +8,30 @@
 use cxl_fabric::HostId;
 use pcie_sim::DeviceId;
 
-/// A pooling control message.
+use crate::vdev::DeviceKind;
+
+/// One request to a PCIe device, whatever its kind. The owner runs it
+/// on a local device or forwards it to the attach host as
+/// [`Msg::Submit`]; either way [`crate::agent::Agent::execute`] carries
+/// it out. Buffers are pool addresses staged by the owner.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Msg {
-    /// Forwarded NIC TX submission: transmit `len` bytes from pool
-    /// buffer `buf` on device `dev`.
-    TxSubmit {
-        /// Operation id for completion matching.
-        op: u64,
-        /// Target device.
-        dev: DeviceId,
+pub enum DevReq {
+    /// NIC transmit of `len` bytes from `buf`.
+    Tx {
         /// Pool address of the TX payload.
         buf: u64,
         /// Payload length.
         len: u32,
     },
-    /// Forwarded RX buffer post.
+    /// NIC RX buffer post.
     RxPost {
-        /// Operation id.
-        op: u64,
-        /// Target device.
-        dev: DeviceId,
         /// Pool address of the RX buffer.
         buf: u64,
         /// Buffer capacity.
         len: u32,
     },
-    /// Forwarded NVMe read: `blocks` blocks from `lba` into pool buffer
-    /// `buf`.
+    /// NVMe read of `blocks` blocks from `lba` into `buf`.
     SsdRead {
-        /// Operation id.
-        op: u64,
-        /// Target device.
-        dev: DeviceId,
         /// Starting logical block.
         lba: u64,
         /// Block count.
@@ -48,12 +39,8 @@ pub enum Msg {
         /// Destination pool buffer.
         buf: u64,
     },
-    /// Forwarded NVMe write.
+    /// NVMe write of `blocks` blocks at `lba` from `buf`.
     SsdWrite {
-        /// Operation id.
-        op: u64,
-        /// Target device.
-        dev: DeviceId,
         /// Starting logical block.
         lba: u64,
         /// Block count.
@@ -61,18 +48,51 @@ pub enum Msg {
         /// Source pool buffer.
         buf: u64,
     },
-    /// Forwarded accelerator job.
-    AccelRun {
-        /// Operation id.
-        op: u64,
-        /// Target device.
-        dev: DeviceId,
+    /// Accelerator job over `len` bytes of `inbuf`, output to `outbuf`.
+    Accel {
         /// Input pool buffer.
         inbuf: u64,
         /// Input length.
         len: u32,
         /// Output pool buffer.
         outbuf: u64,
+    },
+}
+
+impl DevReq {
+    /// The kind of device that serves this request.
+    pub fn kind(&self) -> DeviceKind {
+        match self {
+            DevReq::Tx { .. } | DevReq::RxPost { .. } => DeviceKind::Nic,
+            DevReq::SsdRead { .. } | DevReq::SsdWrite { .. } => DeviceKind::Ssd,
+            DevReq::Accel { .. } => DeviceKind::Accel,
+        }
+    }
+
+    /// Wire tag and layout after the `[tag][op][dev]` header: a u64, a
+    /// u32 and, for SSD and accelerator requests, a trailing u64.
+    fn wire(&self) -> (u8, u64, u32, Option<u64>) {
+        match *self {
+            DevReq::Tx { buf, len } => (1, buf, len, None),
+            DevReq::RxPost { buf, len } => (2, buf, len, None),
+            DevReq::SsdRead { lba, blocks, buf } => (3, lba, blocks, Some(buf)),
+            DevReq::SsdWrite { lba, blocks, buf } => (4, lba, blocks, Some(buf)),
+            DevReq::Accel { inbuf, len, outbuf } => (5, inbuf, len, Some(outbuf)),
+        }
+    }
+}
+
+/// A pooling control message.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Msg {
+    /// A device request forwarded to the device's attach host.
+    Submit {
+        /// Operation id for completion matching.
+        op: u64,
+        /// Target device.
+        dev: DeviceId,
+        /// What the device is to do.
+        req: DevReq,
     },
     /// Completion of a forwarded operation.
     Done {
@@ -196,11 +216,13 @@ impl Msg {
     /// annotation on `proto/encode` events).
     pub fn kind_name(&self) -> &'static str {
         match self {
-            Msg::TxSubmit { .. } => "TxSubmit",
-            Msg::RxPost { .. } => "RxPost",
-            Msg::SsdRead { .. } => "SsdRead",
-            Msg::SsdWrite { .. } => "SsdWrite",
-            Msg::AccelRun { .. } => "AccelRun",
+            Msg::Submit { req, .. } => match req {
+                DevReq::Tx { .. } => "TxSubmit",
+                DevReq::RxPost { .. } => "RxPost",
+                DevReq::SsdRead { .. } => "SsdRead",
+                DevReq::SsdWrite { .. } => "SsdWrite",
+                DevReq::Accel { .. } => "AccelRun",
+            },
             Msg::Done { .. } => "Done",
             Msg::DevFailed { .. } => "DevFailed",
             Msg::Assign { .. } => "Assign",
@@ -214,61 +236,16 @@ impl Msg {
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(30);
         match *self {
-            Msg::TxSubmit { op, dev, buf, len } => {
-                out.push(1);
+            Msg::Submit { op, dev, req } => {
+                let (tag, a, b, c) = req.wire();
+                out.push(tag);
                 put_u64(&mut out, op);
                 put_u32(&mut out, dev.0);
-                put_u64(&mut out, buf);
-                put_u32(&mut out, len);
-            }
-            Msg::RxPost { op, dev, buf, len } => {
-                out.push(2);
-                put_u64(&mut out, op);
-                put_u32(&mut out, dev.0);
-                put_u64(&mut out, buf);
-                put_u32(&mut out, len);
-            }
-            Msg::SsdRead {
-                op,
-                dev,
-                lba,
-                blocks,
-                buf,
-            } => {
-                out.push(3);
-                put_u64(&mut out, op);
-                put_u32(&mut out, dev.0);
-                put_u64(&mut out, lba);
-                put_u32(&mut out, blocks);
-                put_u64(&mut out, buf);
-            }
-            Msg::SsdWrite {
-                op,
-                dev,
-                lba,
-                blocks,
-                buf,
-            } => {
-                out.push(4);
-                put_u64(&mut out, op);
-                put_u32(&mut out, dev.0);
-                put_u64(&mut out, lba);
-                put_u32(&mut out, blocks);
-                put_u64(&mut out, buf);
-            }
-            Msg::AccelRun {
-                op,
-                dev,
-                inbuf,
-                len,
-                outbuf,
-            } => {
-                out.push(5);
-                put_u64(&mut out, op);
-                put_u32(&mut out, dev.0);
-                put_u64(&mut out, inbuf);
-                put_u32(&mut out, len);
-                put_u64(&mut out, outbuf);
+                put_u64(&mut out, a);
+                put_u32(&mut out, b);
+                if let Some(c) = c {
+                    put_u64(&mut out, c);
+                }
             }
             Msg::Done { op, status, at } => {
                 out.push(6);
@@ -312,39 +289,30 @@ impl Msg {
         let mut r = Reader { buf, pos: 0 };
         let kind = r.u8()?;
         Ok(match kind {
-            1 => Msg::TxSubmit {
-                op: r.u64()?,
-                dev: DeviceId(r.u32()?),
-                buf: r.u64()?,
-                len: r.u32()?,
-            },
-            2 => Msg::RxPost {
-                op: r.u64()?,
-                dev: DeviceId(r.u32()?),
-                buf: r.u64()?,
-                len: r.u32()?,
-            },
-            3 => Msg::SsdRead {
-                op: r.u64()?,
-                dev: DeviceId(r.u32()?),
-                lba: r.u64()?,
-                blocks: r.u32()?,
-                buf: r.u64()?,
-            },
-            4 => Msg::SsdWrite {
-                op: r.u64()?,
-                dev: DeviceId(r.u32()?),
-                lba: r.u64()?,
-                blocks: r.u32()?,
-                buf: r.u64()?,
-            },
-            5 => Msg::AccelRun {
-                op: r.u64()?,
-                dev: DeviceId(r.u32()?),
-                inbuf: r.u64()?,
-                len: r.u32()?,
-                outbuf: r.u64()?,
-            },
+            1..=5 => {
+                let (op, dev) = (r.u64()?, DeviceId(r.u32()?));
+                let (a, b) = (r.u64()?, r.u32()?);
+                let req = match kind {
+                    1 => DevReq::Tx { buf: a, len: b },
+                    2 => DevReq::RxPost { buf: a, len: b },
+                    3 => DevReq::SsdRead {
+                        lba: a,
+                        blocks: b,
+                        buf: r.u64()?,
+                    },
+                    4 => DevReq::SsdWrite {
+                        lba: a,
+                        blocks: b,
+                        buf: r.u64()?,
+                    },
+                    _ => DevReq::Accel {
+                        inbuf: a,
+                        len: b,
+                        outbuf: r.u64()?,
+                    },
+                };
+                Msg::Submit { op, dev, req }
+            }
             6 => Msg::Done {
                 op: r.u64()?,
                 status: r.u8()?,
@@ -384,38 +352,48 @@ mod tests {
 
     fn all_variants() -> Vec<Msg> {
         vec![
-            Msg::TxSubmit {
+            Msg::Submit {
                 op: 1,
                 dev: DeviceId(2),
-                buf: 0xDEAD_BEEF,
-                len: 1500,
+                req: DevReq::Tx {
+                    buf: 0xDEAD_BEEF,
+                    len: 1500,
+                },
             },
-            Msg::RxPost {
+            Msg::Submit {
                 op: 2,
                 dev: DeviceId(3),
-                buf: 0x1000,
-                len: 2048,
+                req: DevReq::RxPost {
+                    buf: 0x1000,
+                    len: 2048,
+                },
             },
-            Msg::SsdRead {
+            Msg::Submit {
                 op: 3,
                 dev: DeviceId(4),
-                lba: 77,
-                blocks: 8,
-                buf: 0x2000,
+                req: DevReq::SsdRead {
+                    lba: 77,
+                    blocks: 8,
+                    buf: 0x2000,
+                },
             },
-            Msg::SsdWrite {
+            Msg::Submit {
                 op: 4,
                 dev: DeviceId(5),
-                lba: 99,
-                blocks: 1,
-                buf: 0x3000,
+                req: DevReq::SsdWrite {
+                    lba: 99,
+                    blocks: 1,
+                    buf: 0x3000,
+                },
             },
-            Msg::AccelRun {
+            Msg::Submit {
                 op: 5,
                 dev: DeviceId(6),
-                inbuf: 0x4000,
-                len: 4096,
-                outbuf: 0x5000,
+                req: DevReq::Accel {
+                    inbuf: 0x4000,
+                    len: 4096,
+                    outbuf: 0x5000,
+                },
             },
             Msg::Done {
                 op: 6,
@@ -478,6 +456,65 @@ mod tests {
     }
 
     #[test]
+    fn request_wire_layout_is_pinned() {
+        // `[tag][op u64][dev u32][u64][u32]`, plus a trailing u64 for SSD
+        // and accelerator requests; little-endian, fields in this order.
+        const OP: [u8; 8] = [0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01];
+        const DEV: [u8; 4] = [0x54, 0x53, 0x52, 0x51];
+        const A: [u8; 8] = [0x28, 0x27, 0x26, 0x25, 0x24, 0x23, 0x22, 0x21];
+        const B: [u8; 4] = [0x34, 0x33, 0x32, 0x31];
+        const C: [u8; 8] = [0x48, 0x47, 0x46, 0x45, 0x44, 0x43, 0x42, 0x41];
+        let (a, b, c) = (0x2122_2324_2526_2728, 0x3132_3334, 0x4142_4344_4546_4748);
+        let cases = [
+            (DevReq::Tx { buf: a, len: b }, 1, "TxSubmit", false),
+            (DevReq::RxPost { buf: a, len: b }, 2, "RxPost", false),
+            (
+                DevReq::SsdRead {
+                    lba: a,
+                    blocks: b,
+                    buf: c,
+                },
+                3,
+                "SsdRead",
+                true,
+            ),
+            (
+                DevReq::SsdWrite {
+                    lba: a,
+                    blocks: b,
+                    buf: c,
+                },
+                4,
+                "SsdWrite",
+                true,
+            ),
+            (
+                DevReq::Accel {
+                    inbuf: a,
+                    len: b,
+                    outbuf: c,
+                },
+                5,
+                "AccelRun",
+                true,
+            ),
+        ];
+        for (req, tag, name, tail) in cases {
+            let m = Msg::Submit {
+                op: 0x0102_0304_0506_0708,
+                dev: DeviceId(0x5152_5354),
+                req,
+            };
+            let mut want = [&[tag][..], &OP, &DEV, &A, &B].concat();
+            if tail {
+                want.extend_from_slice(&C);
+            }
+            assert_eq!(m.encode(), want, "{name}");
+            assert_eq!(m.kind_name(), name);
+        }
+    }
+
+    #[test]
     fn unknown_kind_rejected() {
         assert_eq!(Msg::decode(&[200, 0, 0]), Err(DecodeError::BadKind(200)));
         assert_eq!(Msg::decode(&[0]), Err(DecodeError::BadKind(0)));
@@ -487,7 +524,7 @@ mod tests {
         #[test]
         fn tx_submit_roundtrips(op in any::<u64>(), dev in any::<u32>(),
                                 buf in any::<u64>(), len in any::<u32>()) {
-            let m = Msg::TxSubmit { op, dev: DeviceId(dev), buf, len };
+            let m = Msg::Submit { op, dev: DeviceId(dev), req: DevReq::Tx { buf, len } };
             prop_assert_eq!(Msg::decode(&m.encode()).unwrap(), m);
         }
 

@@ -26,6 +26,7 @@ use pcie_sim::DeviceId;
 use simkit::Nanos;
 
 use crate::pod::PodSim;
+use crate::proto::DevReq;
 use crate::vdev::PoolError;
 
 /// A RAID-0 volume over pooled SSDs.
@@ -119,14 +120,16 @@ impl StripedVolume {
             // One stripe-unit-or-less contiguous run on this device.
             let unit_left = self.stripe_blocks as u64 - (lb % self.stripe_blocks as u64);
             let n = unit_left.min(blocks - cur);
-            let buf = pod.io_buf(owner);
             let off = (cur * BLOCK) as usize;
-            // simlint: allow(unwrap-in-datapath) -- cur + n <= blocks and data.len() == blocks * BLOCK (validated at entry)
             let chunk = &data[off..off + (n * BLOCK) as usize];
-            let now = pod.agents[owner.0 as usize].clock();
-            let staged = pod.fabric.nt_store(now, owner, buf, chunk)?;
+            let (buf, staged) = pod.stage(owner, chunk)?;
             pod.agents[owner.0 as usize].advance_clock(staged);
-            inflight.push(pod.ssd_submit_on(owner, dev, dev_lba, n as u32, buf, true)?);
+            let req = DevReq::SsdWrite {
+                lba: dev_lba,
+                blocks: n as u32,
+                buf,
+            };
+            inflight.push(pod.submit(owner, dev, req, staged)?);
             bytes += n * BLOCK;
             cur += n;
         }
@@ -166,7 +169,12 @@ impl StripedVolume {
             let unit_left = self.stripe_blocks as u64 - (lb % self.stripe_blocks as u64);
             let n = unit_left.min(blocks - cur);
             let buf = pod.io_buf(owner);
-            inflight.push(pod.ssd_submit_on(owner, dev, dev_lba, n as u32, buf, false)?);
+            let req = DevReq::SsdRead {
+                lba: dev_lba,
+                blocks: n as u32,
+                buf,
+            };
+            inflight.push(pod.submit(owner, dev, req, Nanos::ZERO)?);
             pieces.push(((cur * BLOCK) as usize, buf, n * BLOCK));
             cur += n;
         }

@@ -18,7 +18,8 @@ pub enum DeviceKind {
 }
 
 impl DeviceKind {
-    /// Wire discriminant used in [`crate::proto::Msg::Assign`].
+    /// Wire discriminant used in [`crate::proto::Msg::Assign`]; also the
+    /// flight recorder's device-kind tag (`simkit::trace::KIND_*`).
     pub fn as_u8(self) -> u8 {
         match self {
             DeviceKind::Nic => 1,
@@ -120,6 +121,14 @@ mod tests {
         }
         assert_eq!(DeviceKind::from_u8(0), None);
         assert_eq!(DeviceKind::from_u8(42), None);
+    }
+
+    #[test]
+    fn discriminant_is_the_trace_kind_tag() {
+        use simkit::trace::{KIND_ACCEL, KIND_NIC, KIND_SSD};
+        assert_eq!(DeviceKind::Nic.as_u8(), KIND_NIC);
+        assert_eq!(DeviceKind::Ssd.as_u8(), KIND_SSD);
+        assert_eq!(DeviceKind::Accel.as_u8(), KIND_ACCEL);
     }
 
     #[test]

@@ -1,15 +1,12 @@
-//! The event queue and run loop, plus the wall-clock DES
-//! self-profiler ([`Profiler`]).
+//! The event queue and run loop.
 //!
 //! The [`Scheduler`] is a binary heap over `(time, insertion seq)`.
 //! Its only users (the Fig 2 churn and Fig 3 UDP experiments) keep at
 //! most a few thousand events pending, where a heap is as fast as any
-//! bucketed queue; see `docs/PERFORMANCE.md` §2 for the measurements.
+//! bucketed queue; see `docs/PERFORMANCE.md` §1 for the measurements.
 
 use std::cmp::Reverse;
-use std::collections::BTreeMap;
 use std::collections::BinaryHeap;
-use std::time::Duration;
 
 use crate::time::Nanos;
 
@@ -135,141 +132,6 @@ pub fn run<W: World>(world: &mut W, sched: &mut Scheduler<W::Event>, until: Nano
     last
 }
 
-/// Wall-clock DES self-profiler: how fast is the simulator itself?
-///
-/// Per subsystem (a caller-chosen phase or component name) it records
-/// events dispatched, simulated nanoseconds covered, and wall-clock
-/// time burned — sampled **outside** simulated time, so determinism is
-/// untouched: a profiled run and an unprofiled run produce bit-identical
-/// simulated results. The derived rates (events/wall-s,
-/// simulated-ns/wall-s) are the baseline and regression gate for the
-/// ROADMAP's sharded-DES work; `bench workload` lands them in
-/// `BENCH_workload.json` as `sim_rate`.
-///
-/// This type is the sanctioned home of `Instant::now` in simulation
-/// crates — wall clock *is* the measurement target here. simlint's
-/// wall-clock allowlist self-check pins the number of such sites.
-pub struct Profiler {
-    rows: BTreeMap<&'static str, ProfRow>,
-    started: std::time::Instant,
-}
-
-/// Accumulated totals for one profiled subsystem.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ProfRow {
-    /// Wall-clock time spent inside [`Profiler::measure`] calls.
-    pub wall: Duration,
-    /// Events (or operations) attributed via [`Profiler::add_events`].
-    pub events: u64,
-    /// Simulated time covered, attributed via [`Profiler::add_sim`].
-    pub sim: Nanos,
-}
-
-/// One rendered row of a [`ProfilerReport`].
-#[derive(Clone, Debug)]
-pub struct ProfiledSubsystem {
-    /// Subsystem name.
-    pub name: &'static str,
-    /// Events dispatched.
-    pub events: u64,
-    /// Wall-clock nanoseconds burned.
-    pub wall_ns: u64,
-    /// Simulated nanoseconds covered.
-    pub sim_ns: u64,
-    /// Events per wall-clock second.
-    pub events_per_wall_s: f64,
-    /// Simulated nanoseconds per wall-clock second (the DES "speed of
-    /// light": 1e9 means real time).
-    pub sim_ns_per_wall_s: f64,
-}
-
-/// Totals + per-subsystem rows from a [`Profiler`], sorted by name.
-#[derive(Clone, Debug)]
-pub struct ProfilerReport {
-    /// Per-subsystem rows, sorted by subsystem name.
-    pub rows: Vec<ProfiledSubsystem>,
-    /// Total wall-clock nanoseconds since [`Profiler::start`].
-    pub wall_ns: u64,
-    /// Total events across subsystems.
-    pub events: u64,
-    /// Total simulated nanoseconds across subsystems.
-    pub sim_ns: u64,
-    /// Total events per wall-clock second.
-    pub events_per_wall_s: f64,
-    /// Total simulated nanoseconds per wall-clock second.
-    pub sim_ns_per_wall_s: f64,
-}
-
-impl Profiler {
-    /// Starts profiling; the wall clock runs from here.
-    pub fn start() -> Profiler {
-        Profiler {
-            rows: BTreeMap::new(),
-            // simlint: allow(wall-clock) -- DES self-profiler: wall clock is the measurement target, sampled outside simulated time
-            started: std::time::Instant::now(),
-        }
-    }
-
-    /// Runs `f`, charging its wall-clock time to `subsystem`.
-    pub fn measure<R>(&mut self, subsystem: &'static str, f: impl FnOnce() -> R) -> R {
-        // simlint: allow(wall-clock) -- DES self-profiler: wall clock is the measurement target, sampled outside simulated time
-        let t0 = std::time::Instant::now();
-        let r = f();
-        let elapsed = t0.elapsed();
-        self.rows.entry(subsystem).or_default().wall += elapsed;
-        r
-    }
-
-    /// Attributes `n` dispatched events (or completed operations) to
-    /// `subsystem`.
-    pub fn add_events(&mut self, subsystem: &'static str, n: u64) {
-        self.rows.entry(subsystem).or_default().events += n;
-    }
-
-    /// Attributes `d` of simulated-time coverage to `subsystem`.
-    pub fn add_sim(&mut self, subsystem: &'static str, d: Nanos) {
-        self.rows.entry(subsystem).or_default().sim += d;
-    }
-
-    /// Raw accumulated rows, sorted by subsystem name.
-    pub fn rows(&self) -> impl Iterator<Item = (&'static str, &ProfRow)> {
-        self.rows.iter().map(|(&k, v)| (k, v))
-    }
-
-    /// Renders the report: per-subsystem rates plus totals. Zero wall
-    /// time clamps to 1 ns so rates stay finite (and strictly positive
-    /// whenever any simulated time was covered).
-    pub fn report(&self) -> ProfilerReport {
-        let per_s = |n: f64, wall_ns: u64| n * 1e9 / wall_ns.max(1) as f64;
-        let rows: Vec<ProfiledSubsystem> = self
-            .rows
-            .iter()
-            .map(|(&name, r)| {
-                let wall_ns = r.wall.as_nanos().min(u128::from(u64::MAX)) as u64;
-                ProfiledSubsystem {
-                    name,
-                    events: r.events,
-                    wall_ns,
-                    sim_ns: r.sim.as_nanos(),
-                    events_per_wall_s: per_s(r.events as f64, wall_ns),
-                    sim_ns_per_wall_s: per_s(r.sim.as_nanos() as f64, wall_ns),
-                }
-            })
-            .collect();
-        let wall_ns = self.started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        let events: u64 = rows.iter().map(|r| r.events).sum();
-        let sim_ns: u64 = rows.iter().map(|r| r.sim_ns).sum();
-        ProfilerReport {
-            rows,
-            wall_ns,
-            events,
-            sim_ns,
-            events_per_wall_s: per_s(events as f64, wall_ns),
-            sim_ns_per_wall_s: per_s(sim_ns as f64, wall_ns),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use std::collections::VecDeque;
@@ -336,27 +198,6 @@ mod tests {
         let mut s = Scheduler::new();
         s.schedule(Nanos(10), ());
         run(&mut Bad, &mut s, Nanos::MAX);
-    }
-
-    #[test]
-    fn profiler_accumulates_and_reports() {
-        let mut p = Profiler::start();
-        let v = p.measure("pump", || 40 + 2);
-        assert_eq!(v, 42);
-        p.add_events("pump", 10);
-        p.add_sim("pump", Nanos::from_millis(5));
-        p.add_events("search", 1);
-        let rep = p.report();
-        assert_eq!(rep.rows.len(), 2);
-        // BTreeMap order: "pump" < "search".
-        assert_eq!(rep.rows[0].name, "pump");
-        assert_eq!(rep.rows[0].events, 10);
-        assert_eq!(rep.rows[0].sim_ns, 5_000_000);
-        assert_eq!(rep.events, 11);
-        assert_eq!(rep.sim_ns, 5_000_000);
-        assert!(rep.wall_ns > 0);
-        assert!(rep.sim_ns_per_wall_s > 0.0);
-        assert!(rep.events_per_wall_s > 0.0);
     }
 
     /// Drives a scheduler through a seeded workload of interleaved

@@ -26,7 +26,6 @@ const ENV_READS: &[&str] = &["var", "var_os", "vars", "vars_os"];
 pub const ALLOWLIST: &[(&str, usize)] = &[
     ("crates/cxl-fabric/src/audit.rs", 1),
     ("crates/simkit/src/metrics.rs", 3),
-    ("crates/simkit/src/sched.rs", 2),
     ("crates/simkit/src/trace.rs", 3),
 ];
 

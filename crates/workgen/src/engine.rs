@@ -701,9 +701,7 @@ fn execute(
             .map(|(_, r)| r.at),
         OpKind::SsdWrite { blocks } => {
             let data = payload(op.io_bytes() as u32, issue_id);
-            let buf = pod.io_buf(host);
-            let now = pod.agents[host.0 as usize].clock();
-            let staged = pod.fabric.nt_store(now, host, buf, &data)?;
+            let (buf, staged) = pod.stage(host, &data)?;
             pod.agents[host.0 as usize].advance_clock(staged);
             pod.vssd_write(host, lba, blocks, buf, deadline)
                 .map(|r| r.at)
