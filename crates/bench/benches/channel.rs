@@ -1,35 +1,11 @@
 //! Criterion benches for the shared-memory channel (Figure 4's
-//! building block): simulated send/poll cost, the full ping-pong
-//! iteration, and the real-memory ring across threads.
+//! building block): the full ping-pong iteration and the real-memory
+//! ring across threads. podbench's probes time the simulated send/poll
+//! round trip.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use cxl_fabric::{Fabric, HostId, PodConfig};
 use shmem::pingpong::{run as pingpong, PingPongConfig};
 use shmem::real::RealRing;
-use shmem::ring::{PollOutcome, RingBuf, SendOutcome};
-use simkit::Nanos;
-
-fn bench_sim_ring(c: &mut Criterion) {
-    let mut group = c.benchmark_group("sim_ring");
-    group.throughput(Throughput::Elements(1));
-    group.bench_function("send_poll_roundtrip", |b| {
-        let mut f = Fabric::new(PodConfig::new(2, 2, 2));
-        let ring = RingBuf::allocate(&mut f, HostId(0), HostId(1), 64).expect("alloc");
-        let (mut tx, mut rx) = ring.split();
-        let mut t = Nanos(0);
-        b.iter(|| {
-            let vis = match tx.send(&mut f, t, b"bench-payload").expect("send") {
-                SendOutcome::Sent(v) => v,
-                SendOutcome::Full(v) => v,
-            };
-            match rx.poll(&mut f, vis).expect("poll") {
-                PollOutcome::Msg { at, .. } => t = at,
-                PollOutcome::Empty(at) => t = at,
-            }
-        });
-    });
-    group.finish();
-}
 
 fn bench_pingpong(c: &mut Criterion) {
     // One full Figure-4 measurement at a small iteration count: tracks
@@ -63,5 +39,5 @@ fn bench_real_ring(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_sim_ring, bench_pingpong, bench_real_ring);
+criterion_group!(benches, bench_pingpong, bench_real_ring);
 criterion_main!(benches);

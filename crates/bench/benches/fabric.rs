@@ -1,5 +1,6 @@
-//! Criterion benches for the CXL fabric model (§3 calibration): timed
-//! loads/stores, coherence operations, and interleaved bulk DMA.
+//! Criterion benches for the CXL fabric model (§3 calibration): the
+//! local-DRAM load and interleaved bulk DMA. podbench's probes time the
+//! pool load miss and the NT store.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use cxl_fabric::{Fabric, HostId, PodConfig};
@@ -8,28 +9,6 @@ use simkit::Nanos;
 fn bench_line_ops(c: &mut Criterion) {
     let mut group = c.benchmark_group("fabric_line_ops");
     group.throughput(Throughput::Elements(1));
-
-    group.bench_function("cxl_load_64B_miss", |b| {
-        let mut f = Fabric::new(PodConfig::new(2, 2, 2));
-        let seg = f.alloc_shared(&[HostId(0)], 1 << 20).expect("alloc");
-        let mut buf = [0u8; 64];
-        let mut t = Nanos(0);
-        b.iter(|| {
-            // Invalidate first so every load is a real pool fetch.
-            let ti = f.invalidate(t, HostId(0), seg.base(), 64);
-            t = f.load(ti, HostId(0), seg.base(), &mut buf).expect("load");
-        });
-    });
-
-    group.bench_function("cxl_nt_store_64B", |b| {
-        let mut f = Fabric::new(PodConfig::new(2, 2, 2));
-        let seg = f.alloc_shared(&[HostId(0)], 1 << 20).expect("alloc");
-        let data = [7u8; 64];
-        let mut t = Nanos(0);
-        b.iter(|| {
-            t = f.nt_store(t, HostId(0), seg.base(), &data).expect("store");
-        });
-    });
 
     group.bench_function("local_load_64B", |b| {
         let mut f = Fabric::new(PodConfig::new(2, 2, 2));

@@ -6,6 +6,7 @@
 //!   ("the total cost … easily reaches $80,000" vs "$600 per host").
 
 use cxl_fabric::HostId;
+use cxl_pool_core::agent::Device;
 use cxl_pool_core::pod::{PodParams, PodSim};
 use net_sim::rdma::{RdmaParams, RdmaSsd};
 use net_sim::wire::WireParams;
@@ -75,8 +76,8 @@ pub fn run_storage_paths(scale: Scale) -> Table {
             // Swap in the chosen media.
             let dev = pod.orch.devices_of(cxl_pool_core::vdev::DeviceKind::Ssd)[0];
             pod.agents[0]
-                .ssds
-                .insert(dev, Ssd::new(dev, HostId(0), ssd_config(fast)));
+                .devices
+                .insert(dev, Device::Ssd(Ssd::new(dev, HostId(0), ssd_config(fast))));
             let mut h = Histogram::new();
             for i in 0..iters {
                 let t0 = pod.agents[2].clock();

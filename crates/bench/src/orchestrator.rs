@@ -78,7 +78,7 @@ pub fn run_failover(scale: Scale) -> Table {
         }
         pod.run_control(Nanos(251 * (trial as u64 % 11) + 97));
         let dev = pod.binding(victim_host, DeviceKind::Nic).expect("bound");
-        pod.fail_nic(dev);
+        pod.fail_device(dev);
         let t_fail = pod.time();
         // Retry loop, as the datapath would: each failed attempt lets
         // the control plane run, until a send lands on the replacement.

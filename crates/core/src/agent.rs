@@ -12,13 +12,14 @@
 //! [`shmem::skip_idle_passes`]), so its clock lands on the busy-poll
 //! grid while only the passes that deliver something touch the fabric.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use cxl_fabric::{Fabric, HostId};
+use pcie_sim::accel::AccelConfig;
 use pcie_sim::nic::TxFrame;
-use pcie_sim::{Accelerator, BufRef, DeviceError, DeviceId, Nic, Ssd};
+use pcie_sim::{Accelerator, BufRef, DeviceError, DeviceId, Nic, NicConfig, Ssd, SsdConfig};
 use shmem::channel::{
-    plan_idle_passes, skip_idle_passes, ChannelReceiver, ChannelSend, ChannelSender,
+    plan_idle_passes, skip_idle_passes, Channel, ChannelReceiver, ChannelSend, ChannelSender,
 };
 use shmem::ring::{IdleSkip, PollOutcome};
 use simkit::trace::Track;
@@ -36,12 +37,96 @@ pub enum Peer {
     Orchestrator,
 }
 
+/// One physical PCIe device attached to an agent's host.
+pub enum Device {
+    /// A network interface.
+    Nic(Nic),
+    /// An NVMe SSD.
+    Ssd(Ssd),
+    /// An offload accelerator.
+    Accel(Accelerator),
+}
+
+impl Device {
+    /// A device of `kind` with its model's default configuration,
+    /// attached to `host`.
+    pub fn new(kind: DeviceKind, id: DeviceId, host: HostId) -> Device {
+        match kind {
+            DeviceKind::Nic => Device::Nic(Nic::new(id, host, NicConfig::default())),
+            DeviceKind::Ssd => Device::Ssd(Ssd::new(id, host, SsdConfig::default())),
+            DeviceKind::Accel => Device::Accel(Accelerator::new(id, host, AccelConfig::default())),
+        }
+    }
+
+    /// The device's class.
+    pub fn kind(&self) -> DeviceKind {
+        match self {
+            Device::Nic(_) => DeviceKind::Nic,
+            Device::Ssd(_) => DeviceKind::Ssd,
+            Device::Accel(_) => DeviceKind::Accel,
+        }
+    }
+
+    /// Injects a failure.
+    pub fn fail(&mut self) {
+        match self {
+            Device::Nic(d) => d.fail(),
+            Device::Ssd(d) => d.fail(),
+            Device::Accel(d) => d.fail(),
+        }
+    }
+
+    /// Repairs the device.
+    pub fn restore(&mut self) {
+        match self {
+            Device::Nic(d) => d.restore(),
+            Device::Ssd(d) => d.restore(),
+            Device::Accel(d) => d.restore(),
+        }
+    }
+
+    /// `(ops, bytes)`: operations completed (TX + RX frames, SSD
+    /// commands, accelerator jobs) and the bytes they moved.
+    pub fn counters(&self) -> (u64, u64) {
+        match self {
+            Device::Nic(d) => {
+                let s = d.stats();
+                (s.tx_frames + s.rx_frames, s.tx_bytes + s.rx_bytes)
+            }
+            Device::Ssd(d) => {
+                let s = d.stats();
+                (s.reads + s.writes, s.bytes_read + s.bytes_written)
+            }
+            Device::Accel(d) => {
+                let s = d.stats();
+                (s.jobs, s.bytes)
+            }
+        }
+    }
+}
+
 /// One bidirectional link (a pair of rings) to a peer.
 pub struct Link {
     /// Sender toward the peer.
     pub tx: ChannelSender,
     /// Receiver from the peer.
     pub rx: ChannelReceiver,
+}
+
+impl Link {
+    /// Splits a channel between hosts `a` and `b` into its two ends:
+    /// the link `a` holds (sending a→b, receiving b→a) and `b`'s.
+    pub fn pair(ch: Channel) -> (Link, Link) {
+        let a = Link {
+            tx: ch.ab.0,
+            rx: ch.ba.1,
+        };
+        let b = Link {
+            tx: ch.ba.0,
+            rx: ch.ab.1,
+        };
+        (a, b)
+    }
 }
 
 /// A completed forwarded operation, as recorded by the *requesting*
@@ -99,12 +184,9 @@ pub struct AgentStats {
 pub struct Agent {
     /// The host this agent runs on.
     pub host: HostId,
-    /// Local physical NICs.
-    pub nics: HashMap<DeviceId, Nic>,
-    /// Local physical SSDs.
-    pub ssds: HashMap<DeviceId, Ssd>,
-    /// Local physical accelerators.
-    pub accels: HashMap<DeviceId, Accelerator>,
+    /// The physical devices attached to this host, every kind in one
+    /// table.
+    pub devices: BTreeMap<DeviceId, Device>,
     links: Vec<(Peer, Link)>,
     /// This host's current device bindings, per kind (set by
     /// orchestrator `Assign` messages).
@@ -129,9 +211,7 @@ impl Agent {
     pub fn new(host: HostId) -> Agent {
         Agent {
             host,
-            nics: HashMap::new(),
-            ssds: HashMap::new(),
-            accels: HashMap::new(),
+            devices: BTreeMap::new(),
             links: Vec::new(),
             assigned: HashMap::new(),
             completions: HashMap::new(),
@@ -144,12 +224,8 @@ impl Agent {
         }
     }
 
-    /// Attaches a link to a peer.
-    pub fn add_link(&mut self, peer: Peer, link: Link) {
-        self.links.push((peer, link));
-    }
-
-    /// Replaces the link to `peer` (pool-failure recovery: the old
+    /// Installs the link to `peer`: appended when it is new, swapped
+    /// in place when it replaces one (pool-failure recovery: the old
     /// rings died with their MHD). Any in-flight protocol state on the
     /// old rings is abandoned; outstanding operations time out and get
     /// retried by their callers.
@@ -222,7 +298,9 @@ impl Agent {
         bytes: &[u8],
     ) -> Result<Option<pcie_sim::RxCompletion>, DeviceError> {
         let now = self.clock;
-        let nic = self.nics.get_mut(&dev).ok_or(DeviceError::Failed(dev))?;
+        let Some(Device::Nic(nic)) = self.devices.get_mut(&dev) else {
+            return Err(DeviceError::Failed(dev));
+        };
         let completion = nic.receive(fabric, now, bytes)?;
         let Some(c) = completion else {
             return Ok(None); // Dropped: no buffer consumed, no route.
@@ -263,19 +341,6 @@ impl Agent {
         self.stats.failures_seen += 1;
         let at = self.clock.as_nanos();
         self.outbox_orch.push(Msg::DevFailed { dev, at });
-    }
-
-    /// The kind of a local device, if it is attached here.
-    pub fn local_kind(&self, dev: DeviceId) -> Option<DeviceKind> {
-        if self.nics.contains_key(&dev) {
-            Some(DeviceKind::Nic)
-        } else if self.ssds.contains_key(&dev) {
-            Some(DeviceKind::Ssd)
-        } else if self.accels.contains_key(&dev) {
-            Some(DeviceKind::Accel)
-        } else {
-            None
-        }
     }
 
     /// Sends `msg` to `peer`, charging the agent's clock.
@@ -421,56 +486,42 @@ impl Agent {
         at: Nanos,
     ) -> DevCall {
         let track = Track::HostCpu(self.host.0);
-        let nic_doorbell = self
-            .nics
-            .get(&dev)
-            .map_or(at, |nic| at + nic.doorbell_cost());
-        let (doorbell, done) = match *req {
-            DevReq::Tx { buf, len } => {
-                let done = self.nics.get_mut(&dev).map(|nic| {
-                    nic.ring_doorbell();
-                    if let Some(tr) = fabric.trace_mut() {
-                        tr.instant(track, "dev/doorbell", nic_doorbell);
-                    }
-                    let frame = nic.transmit(fabric, nic_doorbell, BufRef::Pool(buf), len)?;
-                    let exit = frame.wire_exit;
-                    self.out_frames.push((dev, frame));
-                    Ok(exit)
-                });
-                (nic_doorbell, done)
+        let (doorbell, done) = match (*req, self.devices.get_mut(&dev)) {
+            (DevReq::Tx { buf, len }, Some(Device::Nic(nic))) => {
+                let doorbell = at + nic.doorbell_cost();
+                nic.ring_doorbell();
+                if let Some(tr) = fabric.trace_mut() {
+                    tr.instant(track, "dev/doorbell", doorbell);
+                }
+                let done = nic
+                    .transmit(fabric, doorbell, BufRef::Pool(buf), len)
+                    .map(|frame| {
+                        let exit = frame.wire_exit;
+                        self.out_frames.push((dev, frame));
+                        exit
+                    });
+                (doorbell, done)
             }
-            DevReq::RxPost { buf, len } => {
-                let done = self
-                    .nics
-                    .get_mut(&dev)
-                    .map(|nic| nic.post_rx(BufRef::Pool(buf), len).map(|()| nic_doorbell));
-                (nic_doorbell, done)
+            (DevReq::RxPost { buf, len }, Some(Device::Nic(nic))) => {
+                let doorbell = at + nic.doorbell_cost();
+                let done = nic.post_rx(BufRef::Pool(buf), len).map(|()| doorbell);
+                (doorbell, done)
             }
-            DevReq::SsdRead { lba, blocks, buf } => {
-                let done = self
-                    .ssds
-                    .get_mut(&dev)
-                    .map(|ssd| ssd.read(fabric, at, lba, u64::from(blocks), BufRef::Pool(buf)));
-                (at, done)
-            }
-            DevReq::SsdWrite { lba, blocks, buf } => {
-                let done = self
-                    .ssds
-                    .get_mut(&dev)
-                    .map(|ssd| ssd.write(fabric, at, lba, u64::from(blocks), BufRef::Pool(buf)));
-                (at, done)
-            }
-            DevReq::Accel { inbuf, len, outbuf } => {
-                let done = self.accels.get_mut(&dev).map(|acc| {
-                    acc.offload(fabric, at, BufRef::Pool(inbuf), len, BufRef::Pool(outbuf))
-                });
-                (at, done)
-            }
+            (DevReq::SsdRead { lba, blocks, buf }, Some(Device::Ssd(ssd))) => (
+                at,
+                ssd.read(fabric, at, lba, u64::from(blocks), BufRef::Pool(buf)),
+            ),
+            (DevReq::SsdWrite { lba, blocks, buf }, Some(Device::Ssd(ssd))) => (
+                at,
+                ssd.write(fabric, at, lba, u64::from(blocks), BufRef::Pool(buf)),
+            ),
+            (DevReq::Accel { inbuf, len, outbuf }, Some(Device::Accel(acc))) => (
+                at,
+                acc.offload(fabric, at, BufRef::Pool(inbuf), len, BufRef::Pool(outbuf)),
+            ),
+            _ => (at, Err(DeviceError::Failed(dev))),
         };
-        DevCall {
-            doorbell,
-            done: done.unwrap_or(Err(DeviceError::Failed(dev))),
-        }
+        DevCall { doorbell, done }
     }
 
     fn dispatch(&mut self, fabric: &mut Fabric, link_idx: usize, msg: Msg) {
@@ -596,32 +647,19 @@ impl Agent {
 mod tests {
     use super::*;
     use cxl_fabric::PodConfig;
-    use pcie_sim::NicConfig;
-    use shmem::channel::Channel;
 
     /// Builds two linked agents (host 0 with a NIC, host 1 without).
     fn duo() -> (Fabric, Agent, Agent) {
         let mut f = Fabric::new(PodConfig::new(2, 2, 2));
         let ch = Channel::allocate(&mut f, HostId(0), HostId(1), 64).expect("chan");
+        let (l0, l1) = Link::pair(ch);
         let mut a0 = Agent::new(HostId(0));
         let mut a1 = Agent::new(HostId(1));
-        a0.add_link(
-            Peer::Host(HostId(1)),
-            Link {
-                tx: ch.ab.0,
-                rx: ch.ba.1,
-            },
-        );
-        a1.add_link(
-            Peer::Host(HostId(0)),
-            Link {
-                tx: ch.ba.0,
-                rx: ch.ab.1,
-            },
-        );
-        a0.nics.insert(
+        a0.replace_link(Peer::Host(HostId(1)), l0);
+        a1.replace_link(Peer::Host(HostId(0)), l1);
+        a0.devices.insert(
             DeviceId(0),
-            Nic::new(DeviceId(0), HostId(0), NicConfig::default()),
+            Device::new(DeviceKind::Nic, DeviceId(0), HostId(0)),
         );
         (f, a0, a1)
     }
@@ -665,7 +703,7 @@ mod tests {
     #[test]
     fn failed_device_reports_status_one() {
         let (mut f, mut a0, mut a1) = duo();
-        a0.nics.get_mut(&DeviceId(0)).expect("nic").fail();
+        a0.devices.get_mut(&DeviceId(0)).expect("nic").fail();
         let seg = f
             .alloc_shared(&[HostId(0), HostId(1)], 4096)
             .expect("alloc");
@@ -711,6 +749,24 @@ mod tests {
         a0.pump(&mut f, Nanos::from_micros(50));
         a1.pump(&mut f, Nanos::from_micros(100));
         assert_eq!(a1.completions.get(&3).expect("completion").status, 1);
+    }
+
+    #[test]
+    fn device_table_matches_request_to_kind() {
+        for (i, kind) in DeviceKind::ALL.into_iter().enumerate() {
+            let d = Device::new(kind, DeviceId(i as u32), HostId(0));
+            assert_eq!((d.kind(), d.counters()), (kind, (0, 0)));
+        }
+        // An SSD read on the NIC fails like a missing device.
+        let (mut f, mut a0, _) = duo();
+        let req = DevReq::SsdRead {
+            lba: 0,
+            blocks: 1,
+            buf: 0,
+        };
+        let call = a0.execute(&mut f, DeviceId(0), &req, Nanos(5));
+        assert_eq!(call.doorbell, Nanos(5));
+        assert_eq!(call.done, Err(DeviceError::Failed(DeviceId(0))));
     }
 
     #[test]

@@ -202,7 +202,7 @@ mod tests {
         let dev = pod.orch.devices_of(DeviceKind::Nic)[0];
         assert_eq!(pod.attach_of(dev), Some(owner));
         let mut bond = BondedNic::over(owner, vec![dev]);
-        pod.fail_nic(dev);
+        pod.fail_device(dev);
         let before = pod.agents[0].stats().failures_seen;
         let err = bond.submit_one(&mut pod, &[7u8; 64]).unwrap_err();
         assert_eq!(err, PoolError::Device(pcie_sim::DeviceError::Failed(dev)));

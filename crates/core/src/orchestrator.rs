@@ -105,12 +105,8 @@ impl Orchestrator {
         }
     }
 
-    /// Attaches the channel link to `agent_host`'s agent.
-    pub fn add_link(&mut self, agent_host: HostId, link: Link) {
-        self.links.push((agent_host, link));
-    }
-
-    /// Replaces the link to `agent_host` (pool-failure recovery).
+    /// Installs the link to `agent_host`'s agent: appended when it is
+    /// new, swapped in place on pool-failure recovery.
     pub fn replace_link(&mut self, agent_host: HostId, link: Link) {
         if let Some(slot) = self.links.iter_mut().find(|(h, _)| *h == agent_host) {
             slot.1 = link;
@@ -404,7 +400,7 @@ impl Orchestrator {
     /// from the hottest to the coolest. Returns migrations performed.
     pub fn balance(&mut self, fabric: &mut Fabric, spread_pct: u8) -> u64 {
         let mut moved = 0;
-        for kind in [DeviceKind::Nic, DeviceKind::Ssd, DeviceKind::Accel] {
+        for kind in DeviceKind::ALL {
             let mut live: Vec<(DeviceId, u8, usize)> = self
                 .registry
                 .iter()

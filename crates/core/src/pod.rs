@@ -15,16 +15,15 @@
 //! When the assigned device happens to be local, `submit` takes the
 //! fast path: plain doorbell + device queue, no forwarding.
 
-use std::collections::HashMap;
-
-use cxl_fabric::{DomainId, Fabric, FabricError, HostId, LinkId, MhdId, PodConfig};
+use cxl_fabric::{DomainId, Fabric, FabricError, HostId, LinkId, MhdId, PodConfig, SegmentId};
 use pcie_sim::nic::TxFrame;
-use pcie_sim::{Accelerator, BufRef, DeviceId, Nic, NicConfig, Ssd, SsdConfig};
+use pcie_sim::{BufRef, DeviceId};
+use shmem::channel::Channel;
 use simkit::metrics::{Labels, MetricId, MetricsConfig, MetricsRecorder};
 use simkit::trace::{self, TraceConfig, TraceRecorder, Track};
 use simkit::Nanos;
 
-use crate::agent::{Agent, Completion, Link, Peer};
+use crate::agent::{Agent, Completion, Device, Link, Peer};
 use crate::lifecycle::LifecycleStats;
 use crate::orchestrator::{AllocPolicy, Orchestrator};
 use crate::proto::{DevReq, Msg};
@@ -124,14 +123,13 @@ pub struct PodSim {
     io_slots: u64,
     next_io: Vec<u64>,
     next_op: u64,
-    dev_attach: HashMap<DeviceId, HostId>,
     ring_slots: u64,
     /// Mesh channel backing segments: `(a, b, seg_ab, seg_ba)`.
-    mesh_segs: Vec<(u16, u16, cxl_fabric::SegmentId, cxl_fabric::SegmentId)>,
+    mesh_segs: Vec<(u16, u16, SegmentId, SegmentId)>,
     /// Orchestrator channel backing segments: `(host, seg_to, seg_from)`.
-    orch_segs: Vec<(u16, cxl_fabric::SegmentId, cxl_fabric::SegmentId)>,
+    orch_segs: Vec<(u16, SegmentId, SegmentId)>,
     /// Per-host I/O segment ids.
-    io_segs: Vec<cxl_fabric::SegmentId>,
+    io_segs: Vec<SegmentId>,
     /// Metric handles the pod-side sampler refreshes each tick
     /// (`None` until [`PodSim::enable_metrics`]).
     metric_ids: Option<PodMetricIds>,
@@ -502,89 +500,37 @@ impl PodSim {
         let mut mesh_segs = Vec::new();
         for a in 0..params.hosts {
             for b in (a + 1)..params.hosts {
-                let ch = shmem::channel::Channel::allocate_isolated(
-                    &mut fabric,
-                    HostId(a),
-                    HostId(b),
-                    params.ring_slots,
-                )
-                .expect("pod pool holds control rings");
-                mesh_segs.push((a, b, ch.segments.0, ch.segments.1));
-                agents[a as usize].add_link(
-                    Peer::Host(HostId(b)),
-                    Link {
-                        tx: ch.ab.0,
-                        rx: ch.ba.1,
-                    },
-                );
-                agents[b as usize].add_link(
-                    Peer::Host(HostId(a)),
-                    Link {
-                        tx: ch.ba.0,
-                        rx: ch.ab.1,
-                    },
-                );
+                let (ab, ba) = wire_mesh(&mut fabric, &mut agents, a, b, params.ring_slots)
+                    .expect("pod pool holds control rings");
+                mesh_segs.push((a, b, ab, ba));
             }
         }
 
         // Orchestrator on host 0, linked to every agent.
         let mut orch = Orchestrator::new(HostId(0), params.policy, params.seed);
         let mut orch_segs = Vec::new();
-        for h in 0..params.hosts {
-            let ch = shmem::channel::Channel::allocate_isolated(
-                &mut fabric,
-                HostId(0),
-                HostId(h),
-                params.ring_slots,
-            )
-            .expect("pod pool holds orchestrator rings");
-            orch_segs.push((h, ch.segments.0, ch.segments.1));
-            orch.add_link(
-                HostId(h),
-                Link {
-                    tx: ch.ab.0,
-                    rx: ch.ba.1,
-                },
-            );
-            agents[h as usize].add_link(
-                Peer::Orchestrator,
-                Link {
-                    tx: ch.ba.0,
-                    rx: ch.ab.1,
-                },
-            );
+        for (h, agent) in agents.iter_mut().enumerate() {
+            let (to, from) = wire_orch(&mut fabric, &mut orch, agent, params.ring_slots)
+                .expect("pod pool holds orchestrator rings");
+            orch_segs.push((h as u16, to, from));
         }
 
-        // Physical devices.
-        let mut dev_attach = HashMap::new();
-        let mut next_dev = 0u32;
-        for &h in &params.nic_hosts {
-            let id = DeviceId(next_dev);
-            next_dev += 1;
-            agents[h as usize]
-                .nics
-                .insert(id, Nic::new(id, HostId(h), NicConfig::default()));
-            orch.register(id, DeviceKind::Nic, HostId(h));
-            dev_attach.insert(id, HostId(h));
-        }
-        for &h in &params.ssd_hosts {
-            let id = DeviceId(next_dev);
-            next_dev += 1;
-            agents[h as usize]
-                .ssds
-                .insert(id, Ssd::new(id, HostId(h), SsdConfig::default()));
-            orch.register(id, DeviceKind::Ssd, HostId(h));
-            dev_attach.insert(id, HostId(h));
-        }
-        for &h in &params.accel_hosts {
-            let id = DeviceId(next_dev);
-            next_dev += 1;
-            agents[h as usize].accels.insert(
-                id,
-                Accelerator::new(id, HostId(h), pcie_sim::accel::AccelConfig::default()),
-            );
-            orch.register(id, DeviceKind::Accel, HostId(h));
-            dev_attach.insert(id, HostId(h));
+        // Physical devices, numbered NICs first, then SSDs, then
+        // accelerators.
+        let attached = [
+            (DeviceKind::Nic, &params.nic_hosts),
+            (DeviceKind::Ssd, &params.ssd_hosts),
+            (DeviceKind::Accel, &params.accel_hosts),
+        ];
+        let placed = attached
+            .into_iter()
+            .flat_map(|(kind, hosts)| hosts.iter().map(move |&h| (kind, HostId(h))));
+        for (i, (kind, host)) in placed.enumerate() {
+            let id = DeviceId(i as u32);
+            agents[host.0 as usize]
+                .devices
+                .insert(id, Device::new(kind, id, host));
+            orch.register(id, kind, host);
         }
 
         // Per-host I/O buffer segments, shared pod-wide so any device's
@@ -607,7 +553,6 @@ impl PodSim {
             io_slots: params.io_slots,
             next_io: vec![0; params.hosts as usize],
             next_op: 1,
-            dev_attach,
             ring_slots: params.ring_slots,
             mesh_segs,
             orch_segs,
@@ -619,14 +564,7 @@ impl PodSim {
 
         // Initial allocation: give every host a binding for each kind
         // that exists in the pod, then let the Assign messages land.
-        let kinds: Vec<DeviceKind> = [
-            (!params.nic_hosts.is_empty()).then_some(DeviceKind::Nic),
-            (!params.ssd_hosts.is_empty()).then_some(DeviceKind::Ssd),
-            (!params.accel_hosts.is_empty()).then_some(DeviceKind::Accel),
-        ]
-        .into_iter()
-        .flatten()
-        .collect();
+        let kinds = pod.kinds_available();
         for h in 0..params.hosts {
             for &k in &kinds {
                 let _ = pod.orch.allocate(&mut pod.fabric, HostId(h), k);
@@ -661,15 +599,16 @@ impl PodSim {
         agents.max(self.orch.clock())
     }
 
-    /// Where a device is physically attached.
+    /// Where a device is physically attached (the orchestrator's
+    /// registry, fixed at registration).
     pub fn attach_of(&self, dev: DeviceId) -> Option<HostId> {
-        self.dev_attach.get(&dev).copied()
+        self.orch.device(dev).map(|info| info.attach)
     }
 
     /// Device kinds with at least one registered device in the pod
     /// (load generators validate tenant mixes against this).
     pub fn kinds_available(&self) -> Vec<DeviceKind> {
-        [DeviceKind::Nic, DeviceKind::Ssd, DeviceKind::Accel]
+        DeviceKind::ALL
             .into_iter()
             .filter(|&k| !self.orch.devices_of(k).is_empty())
             .collect()
@@ -839,21 +778,25 @@ impl PodSim {
         self.advance
     }
 
-    /// Injects a NIC failure.
-    pub fn fail_nic(&mut self, dev: DeviceId) {
-        for a in &mut self.agents {
-            if let Some(nic) = a.nics.get_mut(&dev) {
-                nic.fail();
-            }
+    /// The physical device `dev`, in its attach host's device table.
+    fn device_mut(&mut self, dev: DeviceId) -> Option<&mut Device> {
+        let attach = self.attach_of(dev)?;
+        self.agents[attach.0 as usize].devices.get_mut(&dev)
+    }
+
+    /// Injects a failure into device `dev`, of any kind. The
+    /// orchestrator learns of it only when an operation hits the
+    /// device and an agent reports it.
+    pub fn fail_device(&mut self, dev: DeviceId) {
+        if let Some(d) = self.device_mut(dev) {
+            d.fail();
         }
     }
 
-    /// Repairs a NIC and tells the orchestrator.
-    pub fn repair_nic(&mut self, dev: DeviceId) {
-        for a in &mut self.agents {
-            if let Some(nic) = a.nics.get_mut(&dev) {
-                nic.restore();
-            }
+    /// Repairs device `dev` and tells the orchestrator.
+    pub fn repair_device(&mut self, dev: DeviceId) {
+        if let Some(d) = self.device_mut(dev) {
+            d.restore();
         }
         self.orch.on_repair(dev);
     }
@@ -868,7 +811,7 @@ impl PodSim {
     ///
     /// Call after `fabric.topology_mut().fail_mhd(...)`.
     pub fn recover_pool_failure(&mut self, mhd: cxl_fabric::MhdId) -> usize {
-        let uses_dead = |fabric: &cxl_fabric::Fabric, id: cxl_fabric::SegmentId| {
+        let uses_dead = |fabric: &Fabric, id: SegmentId| {
             fabric
                 .segment(id)
                 .map(|s| s.ways().contains(&mhd))
@@ -877,69 +820,31 @@ impl PodSim {
         let mut rebuilt = 0;
 
         // Mesh channels.
-        let mesh: Vec<(u16, u16, cxl_fabric::SegmentId, cxl_fabric::SegmentId)> =
-            self.mesh_segs.clone();
-        for (i, (a, b, s_ab, s_ba)) in mesh.into_iter().enumerate() {
+        for i in 0..self.mesh_segs.len() {
+            let (a, b, s_ab, s_ba) = self.mesh_segs[i];
             if !uses_dead(&self.fabric, s_ab) && !uses_dead(&self.fabric, s_ba) {
                 continue;
             }
             let _ = self.fabric.free_segment(s_ab);
             let _ = self.fabric.free_segment(s_ba);
-            let ch = shmem::channel::Channel::allocate_isolated(
-                &mut self.fabric,
-                HostId(a),
-                HostId(b),
-                self.ring_slots,
-            )
-            .expect("survivors hold replacement rings");
-            self.mesh_segs[i] = (a, b, ch.segments.0, ch.segments.1);
-            self.agents[a as usize].replace_link(
-                Peer::Host(HostId(b)),
-                Link {
-                    tx: ch.ab.0,
-                    rx: ch.ba.1,
-                },
-            );
-            self.agents[b as usize].replace_link(
-                Peer::Host(HostId(a)),
-                Link {
-                    tx: ch.ba.0,
-                    rx: ch.ab.1,
-                },
-            );
+            let (ab, ba) = wire_mesh(&mut self.fabric, &mut self.agents, a, b, self.ring_slots)
+                .expect("survivors hold replacement rings");
+            self.mesh_segs[i] = (a, b, ab, ba);
             rebuilt += 1;
         }
 
         // Orchestrator channels.
-        let orch: Vec<(u16, cxl_fabric::SegmentId, cxl_fabric::SegmentId)> = self.orch_segs.clone();
-        for (i, (h, s_to, s_from)) in orch.into_iter().enumerate() {
+        for i in 0..self.orch_segs.len() {
+            let (h, s_to, s_from) = self.orch_segs[i];
             if !uses_dead(&self.fabric, s_to) && !uses_dead(&self.fabric, s_from) {
                 continue;
             }
             let _ = self.fabric.free_segment(s_to);
             let _ = self.fabric.free_segment(s_from);
-            let ch = shmem::channel::Channel::allocate_isolated(
-                &mut self.fabric,
-                HostId(0),
-                HostId(h),
-                self.ring_slots,
-            )
-            .expect("survivors hold replacement rings");
-            self.orch_segs[i] = (h, ch.segments.0, ch.segments.1);
-            self.orch.replace_link(
-                HostId(h),
-                Link {
-                    tx: ch.ab.0,
-                    rx: ch.ba.1,
-                },
-            );
-            self.agents[h as usize].replace_link(
-                Peer::Orchestrator,
-                Link {
-                    tx: ch.ba.0,
-                    rx: ch.ab.1,
-                },
-            );
+            let agent = &mut self.agents[h as usize];
+            let (to, from) = wire_orch(&mut self.fabric, &mut self.orch, agent, self.ring_slots)
+                .expect("survivors hold replacement rings");
+            self.orch_segs[i] = (h, to, from);
             rebuilt += 1;
         }
 
@@ -990,44 +895,6 @@ impl PodSim {
     /// Restores every MHD in `domain`.
     pub fn restore_domain(&mut self, domain: cxl_fabric::DomainId) {
         self.fabric.topology_mut().restore_domain(domain);
-    }
-
-    /// Injects an SSD failure.
-    pub fn fail_ssd(&mut self, dev: DeviceId) {
-        for a in &mut self.agents {
-            if let Some(ssd) = a.ssds.get_mut(&dev) {
-                ssd.fail();
-            }
-        }
-    }
-
-    /// Repairs an SSD and tells the orchestrator.
-    pub fn repair_ssd(&mut self, dev: DeviceId) {
-        for a in &mut self.agents {
-            if let Some(ssd) = a.ssds.get_mut(&dev) {
-                ssd.restore();
-            }
-        }
-        self.orch.on_repair(dev);
-    }
-
-    /// Injects an accelerator failure.
-    pub fn fail_accel(&mut self, dev: DeviceId) {
-        for a in &mut self.agents {
-            if let Some(acc) = a.accels.get_mut(&dev) {
-                acc.fail();
-            }
-        }
-    }
-
-    /// Repairs an accelerator and tells the orchestrator.
-    pub fn repair_accel(&mut self, dev: DeviceId) {
-        for a in &mut self.agents {
-            if let Some(acc) = a.accels.get_mut(&dev) {
-                acc.restore();
-            }
-        }
-        self.orch.on_repair(dev);
     }
 
     // -----------------------------------------------------------------
@@ -1288,7 +1155,10 @@ impl PodSim {
         len: usize,
         not_before: Nanos,
     ) -> Result<(Vec<u8>, Nanos), PoolError> {
-        let now = self.agents[owner.0 as usize].clock().max(not_before);
+        let Some(now) = self.agents.get(owner.0 as usize).map(Agent::clock) else {
+            return Err(FabricError::UnknownEntity(format!("{owner:?}")).into());
+        };
+        let now = now.max(not_before);
         let t = self.fabric.invalidate(now, owner, addr, len as u64);
         let mut buf = vec![0u8; len];
         let t = self.fabric.load(t, owner, addr, &mut buf)?;
@@ -1434,6 +1304,41 @@ impl PodSim {
     }
 }
 
+/// Allocates a failure-isolated channel between hosts `a` and `b` and
+/// installs it as each agent's link to the other. Returns its backing
+/// segments `(a→b, b→a)`.
+fn wire_mesh(
+    fabric: &mut Fabric,
+    agents: &mut [Agent],
+    a: u16,
+    b: u16,
+    slots: u64,
+) -> Result<(SegmentId, SegmentId), FabricError> {
+    let ch = Channel::allocate_isolated(fabric, HostId(a), HostId(b), slots)?;
+    let segments = ch.segments;
+    let (at_a, at_b) = Link::pair(ch);
+    agents[a as usize].replace_link(Peer::Host(HostId(b)), at_a);
+    agents[b as usize].replace_link(Peer::Host(HostId(a)), at_b);
+    Ok(segments)
+}
+
+/// Allocates a failure-isolated channel between the orchestrator and
+/// `agent` and installs it at both ends. Returns its backing segments
+/// `(to agent, from agent)`.
+fn wire_orch(
+    fabric: &mut Fabric,
+    orch: &mut Orchestrator,
+    agent: &mut Agent,
+    slots: u64,
+) -> Result<(SegmentId, SegmentId), FabricError> {
+    let ch = Channel::allocate_isolated(fabric, orch.host, agent.host, slots)?;
+    let segments = ch.segments;
+    let (at_orch, at_agent) = Link::pair(ch);
+    orch.replace_link(agent.host, at_orch);
+    agent.replace_link(Peer::Orchestrator, at_agent);
+    Ok(segments)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1562,7 +1467,7 @@ mod tests {
     fn failover_rebinds_to_surviving_nic() {
         let mut pod = PodSim::new(PodParams::new(4, 2));
         let dev = pod.binding(HostId(3), DeviceKind::Nic).unwrap();
-        pod.fail_nic(dev);
+        pod.fail_device(dev);
         // The send fails (remote device down).
         let err = pod
             .vnic_send(HostId(3), &[0u8; 64], deadline())
@@ -1977,13 +1882,13 @@ mod tests {
         assert_eq!(pod.attach_of(ssd), Some(HostId(1)));
         assert_eq!(pod.attach_of(accel), Some(HostId(1)));
 
-        pod.fail_ssd(ssd);
+        pod.fail_device(ssd);
         let err = pod.vssd_read(owner, 0, 1, deadline()).unwrap_err();
         assert!(
             matches!(err, PoolError::RemoteFailed { dev, .. } if dev == ssd && dev != nic),
             "{err:?}"
         );
-        pod.fail_accel(accel);
+        pod.fail_device(accel);
         let err = pod.vaccel_run(owner, &[1u8; 64], deadline()).unwrap_err();
         assert!(
             matches!(err, PoolError::RemoteFailed { dev, .. } if dev == accel),
@@ -2010,6 +1915,10 @@ mod tests {
         );
         assert_eq!(pod.vnic_post_rx(ghost, d).unwrap_err(), nic);
         assert!(pod.vnic_poll_rx(ghost, d).is_none());
+        assert!(matches!(
+            pod.read_rx_payload(ghost, 0, 64, Nanos::ZERO),
+            Err(PoolError::Fabric(FabricError::UnknownEntity(_)))
+        ));
         assert_eq!(pod.vssd_read(ghost, 0, 1, d).unwrap_err(), ssd);
         assert_eq!(pod.vssd_write(ghost, 0, 1, 0, d).unwrap_err(), ssd);
         assert_eq!(
@@ -2060,7 +1969,7 @@ mod tests {
     fn local_and_forwarded_outcomes_agree() {
         // Every device sits on host 0: host 0 takes the local fast path,
         // host 1 forwards.
-        for kind in [DeviceKind::Nic, DeviceKind::Ssd, DeviceKind::Accel] {
+        for kind in DeviceKind::ALL {
             for (owner, local) in [(HostId(0), true), (HostId(1), false)] {
                 for failed in [false, true] {
                     let mut params = PodParams::new(2, 1);
@@ -2070,11 +1979,7 @@ mod tests {
                     let dev = pod.binding(owner, kind).expect("bound");
                     assert_eq!(pod.attach_of(dev), Some(HostId(0)));
                     if failed {
-                        match kind {
-                            DeviceKind::Nic => pod.fail_nic(dev),
-                            DeviceKind::Ssd => pod.fail_ssd(dev),
-                            DeviceKind::Accel => pod.fail_accel(dev),
-                        }
+                        pod.fail_device(dev);
                     }
                     let seen = |pod: &PodSim| -> u64 {
                         pod.agents.iter().map(|a| a.stats().failures_seen).sum()

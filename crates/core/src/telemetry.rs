@@ -7,6 +7,7 @@ use cxl_fabric::ViolationCounts;
 use pcie_sim::DeviceId;
 use simkit::stats::Summary;
 
+use crate::agent::Device;
 use crate::pod::PodSim;
 use crate::vdev::DeviceKind;
 
@@ -121,37 +122,14 @@ pub fn snapshot(pod: &PodSim) -> PodReport {
         .collect();
 
     let mut devices = Vec::new();
-    for kind in [DeviceKind::Nic, DeviceKind::Ssd, DeviceKind::Accel] {
+    for kind in DeviceKind::ALL {
         for dev in pod.orch.devices_of(kind) {
             let info = pod.orch.device(dev).expect("registered");
             let attach = info.attach.0;
-            let agent = &pod.agents[attach as usize];
-            let (ops, bytes) = match kind {
-                DeviceKind::Nic => agent
-                    .nics
-                    .get(&dev)
-                    .map(|n| {
-                        let s = n.stats();
-                        (s.tx_frames + s.rx_frames, s.tx_bytes + s.rx_bytes)
-                    })
-                    .unwrap_or((0, 0)),
-                DeviceKind::Ssd => agent
-                    .ssds
-                    .get(&dev)
-                    .map(|s| {
-                        let st = s.stats();
-                        (st.reads + st.writes, st.bytes_read + st.bytes_written)
-                    })
-                    .unwrap_or((0, 0)),
-                DeviceKind::Accel => agent
-                    .accels
-                    .get(&dev)
-                    .map(|a| {
-                        let st = a.stats();
-                        (st.jobs, st.bytes)
-                    })
-                    .unwrap_or((0, 0)),
-            };
+            let (ops, bytes) = pod.agents[attach as usize]
+                .devices
+                .get(&dev)
+                .map_or((0, 0), Device::counters);
             devices.push(DeviceReport {
                 dev,
                 kind,
@@ -371,28 +349,32 @@ mod tests {
     fn snapshot_counts_activity() {
         let mut params = PodParams::new(4, 2);
         params.ssd_hosts = vec![0];
+        params.accel_hosts = vec![1];
         let mut pod = PodSim::new(params);
         let d = pod.time() + Nanos::from_millis(50);
         pod.vnic_send(HostId(3), &[1u8; 256], d).expect("send");
         let d = pod.time() + Nanos::from_millis(50);
         pod.vssd_read(HostId(2), 0, 1, d).expect("read");
+        let d = pod.time() + Nanos::from_millis(50);
+        pod.vaccel_run(HostId(2), &[3u8; 512], d).expect("run");
         let r = snapshot(&pod);
         assert_eq!(r.agents.len(), 4);
-        assert_eq!(r.devices.len(), 3);
-        let nic_ops: u64 = r
+        let counters: Vec<(DeviceId, DeviceKind, u64, u64)> = r
             .devices
             .iter()
-            .filter(|x| x.kind == DeviceKind::Nic)
-            .map(|x| x.ops)
-            .sum();
-        assert!(nic_ops >= 1, "the send should be counted");
-        let ssd_ops: u64 = r
-            .devices
-            .iter()
-            .filter(|x| x.kind == DeviceKind::Ssd)
-            .map(|x| x.ops)
-            .sum();
-        assert!(ssd_ops >= 1, "the read should be counted");
+            .map(|x| (x.dev, x.kind, x.ops, x.bytes))
+            .collect();
+        // Host 3 sends on the NIC attached to host 1; host 2 reads one
+        // 4 KiB block and runs one 512 B job.
+        assert_eq!(
+            counters,
+            vec![
+                (DeviceId(0), DeviceKind::Nic, 0, 0),
+                (DeviceId(1), DeviceKind::Nic, 1, 256),
+                (DeviceId(2), DeviceKind::Ssd, 1, 4096),
+                (DeviceId(3), DeviceKind::Accel, 1, 512),
+            ]
+        );
         assert!(r.pool_writes > 0 && r.pool_loads > 0);
         // The report renders without panicking and mentions devices.
         let text = r.to_string();
@@ -478,7 +460,7 @@ mod tests {
     fn snapshot_reflects_failures() {
         let mut pod = PodSim::new(PodParams::new(4, 2));
         let dev = pod.binding(HostId(3), DeviceKind::Nic).expect("bound");
-        pod.fail_nic(dev);
+        pod.fail_device(dev);
         let d = pod.time() + Nanos::from_millis(20);
         let _ = pod.vnic_send(HostId(3), &[0u8; 32], d);
         pod.run_control(Nanos::from_millis(1));

@@ -18,6 +18,9 @@ pub enum DeviceKind {
 }
 
 impl DeviceKind {
+    /// Every kind, in wire-discriminant order.
+    pub const ALL: [DeviceKind; 3] = [DeviceKind::Nic, DeviceKind::Ssd, DeviceKind::Accel];
+
     /// Wire discriminant used in [`crate::proto::Msg::Assign`]; also the
     /// flight recorder's device-kind tag (`simkit::trace::KIND_*`).
     pub fn as_u8(self) -> u8 {
@@ -116,7 +119,7 @@ mod tests {
 
     #[test]
     fn kind_discriminant_roundtrips() {
-        for k in [DeviceKind::Nic, DeviceKind::Ssd, DeviceKind::Accel] {
+        for k in DeviceKind::ALL {
             assert_eq!(DeviceKind::from_u8(k.as_u8()), Some(k));
         }
         assert_eq!(DeviceKind::from_u8(0), None);

@@ -327,7 +327,7 @@ mod tests {
     fn with_web_mix(mix: Vec<(OpKind, f64)>) -> Result<(), String> {
         let mut s = spec();
         s.tenants[0].mix = mix;
-        s.validate(4, &[DeviceKind::Nic, DeviceKind::Ssd, DeviceKind::Accel])
+        s.validate(4, &DeviceKind::ALL)
     }
 
     #[test]

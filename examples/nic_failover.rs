@@ -25,7 +25,7 @@ fn main() {
     );
 
     // The NIC dies.
-    pod.fail_nic(dev);
+    pod.fail_device(dev);
     let t_fail = pod.time();
     println!("NIC {dev:?} failed at t={t_fail}");
 

@@ -108,7 +108,7 @@ fn main() {
     // orchestrator rebinds it to the survivor. Both the failure instant
     // and the retried operation end up in the trace.
     let victim = pod.binding(HostId(5), DeviceKind::Nic).expect("bound");
-    pod.fail_nic(victim);
+    pod.fail_device(victim);
     let mut recovered = false;
     for _ in 0..10 {
         let d = pod.time() + Nanos::from_millis(20);

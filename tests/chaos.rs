@@ -37,13 +37,13 @@ fn random_failures_never_corrupt_traffic() {
             let alive: Vec<usize> = (0..nics.len()).filter(|&i| !down[i]).collect();
             if alive.len() > 1 {
                 let victim = alive[rng.below(alive.len() as u64) as usize];
-                pod.fail_nic(nics[victim]);
+                pod.fail_device(nics[victim]);
                 down[victim] = true;
             }
         } else if roll == 1 {
             let dead: Vec<usize> = (0..nics.len()).filter(|&i| down[i]).collect();
             if let Some(&fix) = dead.first() {
-                pod.repair_nic(nics[fix]);
+                pod.repair_device(nics[fix]);
                 down[fix] = false;
             }
         }
@@ -110,7 +110,7 @@ fn orchestrator_never_binds_to_known_dead_devices() {
         }
         // Repair someone at random so the pool doesn't drain.
         let fix = nics[rng.below(nics.len() as u64) as usize];
-        pod.repair_nic(fix);
+        pod.repair_device(fix);
     }
     let report = pod.audit_finalize().expect("audit on");
     assert!(
@@ -131,18 +131,10 @@ fn mixed_device_chaos_keeps_all_kinds_functional() {
     let input: Vec<u8> = (0..128u32).map(|i| i as u8).collect();
     for round in 0..30u32 {
         // Fail one random device of a random kind, repair it next round.
-        let kind = match rng.below(3) {
-            0 => DeviceKind::Nic,
-            1 => DeviceKind::Ssd,
-            _ => DeviceKind::Accel,
-        };
+        let kind = DeviceKind::ALL[rng.below(3) as usize];
         let devs = pod.orch.devices_of(kind);
         let victim = devs[rng.below(devs.len() as u64) as usize];
-        match kind {
-            DeviceKind::Nic => pod.fail_nic(victim),
-            DeviceKind::Ssd => pod.fail_ssd(victim),
-            DeviceKind::Accel => pod.fail_accel(victim),
-        }
+        pod.fail_device(victim);
 
         // All three kinds must keep serving host 5 (retry allowed).
         let host = HostId(5);
@@ -172,11 +164,7 @@ fn mixed_device_chaos_keeps_all_kinds_functional() {
             "round {round}: nic={nic_ok} ssd={ssd_ok} accel={accel_ok} after failing {victim:?}"
         );
 
-        match kind {
-            DeviceKind::Nic => pod.repair_nic(victim),
-            DeviceKind::Ssd => pod.repair_ssd(victim),
-            DeviceKind::Accel => pod.repair_accel(victim),
-        }
+        pod.repair_device(victim);
     }
     let report = pod.audit_finalize().expect("audit on");
     assert!(

@@ -135,7 +135,7 @@ fn accelerator_jobs_from_many_hosts_interleave_correctly() {
 fn pool_exhaustion_surfaces_as_no_device() {
     let mut pod = PodSim::new(PodParams::new(4, 2));
     for dev in pod.orch.devices_of(DeviceKind::Nic) {
-        pod.fail_nic(dev);
+        pod.fail_device(dev);
         pod.orch.on_failure(&mut pod.fabric, dev);
     }
     pod.run_control(Nanos::from_millis(1));

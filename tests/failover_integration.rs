@@ -35,7 +35,7 @@ fn single_nic_failure_recovers_all_users() {
         .filter(|&h| pod.binding(h, DeviceKind::Nic) == Some(victim))
         .collect();
     assert!(!affected.is_empty());
-    pod.fail_nic(victim);
+    pod.fail_device(victim);
     for h in affected {
         let (attempts, recovery) = retry_until_ok(&mut pod, h);
         assert!(attempts <= 10, "host {h:?} needed {attempts} attempts");
@@ -55,7 +55,7 @@ fn cascading_failures_until_one_nic_remains() {
     // Kill NICs one by one, leaving one alive; host 3 must keep
     // recovering onto a survivor.
     for victim in &all[..all.len() - 1] {
-        pod.fail_nic(*victim);
+        pod.fail_device(*victim);
         pod.orch.on_failure(&mut pod.fabric, *victim);
         pod.run_control(Nanos::from_millis(1));
         let (_, _) = retry_until_ok(&mut pod, host);
@@ -71,10 +71,10 @@ fn cascading_failures_until_one_nic_remains() {
 fn repaired_nic_rejoins_the_pool() {
     let mut pod = PodSim::new(PodParams::new(4, 2));
     let victim = pod.binding(HostId(3), DeviceKind::Nic).expect("bound");
-    pod.fail_nic(victim);
+    pod.fail_device(victim);
     let _ = retry_until_ok(&mut pod, HostId(3));
     // Repair: the device is selectable again.
-    pod.repair_nic(victim);
+    pod.repair_device(victim);
     let choice = pod
         .orch
         .choose(HostId(3), DeviceKind::Nic)
@@ -218,7 +218,7 @@ fn ssd_failover_moves_to_surviving_drive() {
     // Warm I/O.
     let d = deadline(&pod);
     pod.vssd_read(host, 0, 1, d).expect("warm read");
-    pod.fail_ssd(victim);
+    pod.fail_device(victim);
     // Retry until rebinding succeeds.
     let mut ok = false;
     for _ in 0..50 {
@@ -246,7 +246,7 @@ fn accelerator_failover_preserves_job_semantics() {
     let d = deadline(&pod);
     pod.vaccel_run(host, &input, d).expect("warm job");
     let victim = pod.binding(host, DeviceKind::Accel).expect("bound");
-    pod.fail_accel(victim);
+    pod.fail_device(victim);
     let mut result = None;
     for _ in 0..50 {
         let d = deadline(&pod);
@@ -276,7 +276,7 @@ fn heartbeats_survive_device_failures() {
     let table = HeartbeatTable::allocate(&mut pod.fabric, &members, 4).expect("alloc");
     // Device failures do not affect the memory-pool control plane.
     let dev = pod.binding(HostId(3), DeviceKind::Nic).expect("bound");
-    pod.fail_nic(dev);
+    pod.fail_device(dev);
     let mut t = pod.time();
     for beat in 1..=5u64 {
         t = table
