@@ -995,7 +995,8 @@ impl PodSim {
     /// Writes `data` into a fresh I/O buffer of `owner` with
     /// non-temporal stores issued at the owner's clock. Returns the
     /// buffer and when the data lands in the pool; the owner's clock
-    /// does not move.
+    /// does not move. An empty `data` is
+    /// [`FabricError::EmptyAccess`].
     pub fn stage(&mut self, owner: HostId, data: &[u8]) -> Result<(u64, Nanos), PoolError> {
         let Some(now) = self.agents.get(owner.0 as usize).map(Agent::clock) else {
             return Err(FabricError::UnknownEntity(format!("{owner:?}")).into());
@@ -1894,6 +1895,23 @@ mod tests {
             matches!(err, PoolError::RemoteFailed { dev, .. } if dev == accel),
             "{err:?}"
         );
+    }
+
+    #[test]
+    fn empty_payload_is_an_error_not_a_panic() {
+        let mut params = PodParams::new(4, 1);
+        params.accel_hosts = vec![1];
+        let mut pod = PodSim::new(params);
+        let owner = HostId(2);
+        let empty = |e: &PoolError| matches!(e, PoolError::Fabric(FabricError::EmptyAccess { .. }));
+        let err = pod.stage(owner, &[]).unwrap_err();
+        assert!(empty(&err), "{err:?}");
+        let err = pod.vnic_send(owner, &[], deadline()).unwrap_err();
+        assert!(empty(&err), "{err:?}");
+        let err = pod.vaccel_run(owner, &[], deadline()).unwrap_err();
+        assert!(empty(&err), "{err:?}");
+        // The pod still serves the same owner afterwards.
+        assert!(pod.vnic_send(owner, &[1u8; 64], deadline()).is_ok());
     }
 
     #[test]

@@ -6,8 +6,6 @@
 //! host or shared by an explicit host group (the shared segments are
 //! what the PCIe-pooling datapath lives in).
 
-use std::collections::BTreeMap;
-
 use serde::Serialize;
 
 use crate::error::FabricError;
@@ -106,25 +104,25 @@ impl Segment {
     }
 
     /// Splits the byte range `[hpa, hpa + len)` into per-MHD byte
-    /// counts, following the interleave pattern. Used for bandwidth
-    /// accounting of bulk transfers. Ordered by MHD id so callers that
-    /// charge stateful link timelines stay deterministic across runs
-    /// (a `HashMap` here leaked iteration order into simulated time).
-    pub fn spread(&self, hpa: u64, len: u64) -> BTreeMap<MhdId, u64> {
-        let mut out = Vec::new();
-        self.spread_into(hpa, len, &mut out);
-        out.into_iter().collect()
-    }
-
-    /// Allocation-free [`Segment::spread`]: clears `out` and fills it
-    /// with the per-MHD byte counts, sorted by MHD id. Datapath-timing
-    /// callers reuse one scratch vector across calls, so the per-miss
-    /// `BTreeMap` build disappears from the hot path. The interleave
-    /// set is a handful of ways, so accumulation is a linear probe.
+    /// counts, following the interleave pattern: clears `out` and
+    /// fills it sorted by MHD id, so callers that charge stateful link
+    /// timelines stay deterministic across runs. Datapath-timing
+    /// callers reuse one scratch vector across calls, so the hot path
+    /// allocates nothing. The interleave set is a handful of ways, so
+    /// accumulation is a linear probe.
     pub fn spread_into(&self, hpa: u64, len: u64, out: &mut Vec<(MhdId, u64)>) {
         out.clear();
-        let mut cur = hpa;
+        if len == 0 {
+            return;
+        }
         let end = hpa + len;
+        // Every ring slot and every 64 B access lies inside one granule,
+        // so on one MHD: no granule walk, nothing to sort.
+        if hpa / INTERLEAVE_GRANULE == (end - 1) / INTERLEAVE_GRANULE {
+            out.push((self.mhd_for(hpa), len));
+            return;
+        }
+        let mut cur = hpa;
         while cur < end {
             let granule_end = (cur / INTERLEAVE_GRANULE + 1) * INTERLEAVE_GRANULE;
             let n = granule_end.min(end) - cur;
@@ -142,17 +140,19 @@ impl Segment {
 /// Carves segments from per-MHD capacity and resolves addresses back to
 /// segments.
 pub struct PoolAllocator {
+    /// Id of the next segment; ids are never reused.
     next_id: u64,
+    /// Bump pointer: the next segment starts at or above it, so bases
+    /// only grow and pool addresses are never reused.
     next_hpa: u64,
     /// Free bytes per MHD, indexed by MhdId.
     free: Vec<u64>,
     capacity_per_mhd: u64,
-    /// Live segments, ordered by id: [`PoolAllocator::segments`]
-    /// exposes an iterator, and a `HashMap` here would hand callers a
-    /// nondeterministic walk (simlint `hash-iter`).
-    segments: BTreeMap<SegmentId, Segment>,
-    /// base -> id, for address resolution.
-    by_base: BTreeMap<u64, SegmentId>,
+    /// Live segments in allocation order. Ids and bases both come from
+    /// bump counters, so this one table is sorted by id and by base at
+    /// once: address resolution is one `partition_point`, id lookup one
+    /// binary search, and iteration is in id order.
+    segments: Vec<Segment>,
 }
 
 impl PoolAllocator {
@@ -166,8 +166,7 @@ impl PoolAllocator {
             next_hpa: 1 << 20,
             free: vec![capacity_per_mhd; mhds as usize],
             capacity_per_mhd,
-            segments: BTreeMap::new(),
-            by_base: BTreeMap::new(),
+            segments: Vec::new(),
         }
     }
 
@@ -296,18 +295,16 @@ impl PoolAllocator {
             ways,
             owners: owners.to_vec(),
         };
-        self.segments.insert(id, seg.clone());
-        self.by_base.insert(base, id);
+        self.segments.push(seg.clone());
         Ok(seg)
     }
 
     /// Releases a segment, returning its capacity to its MHDs.
     pub fn free(&mut self, id: SegmentId) -> Result<(), FabricError> {
-        let seg = self
-            .segments
-            .remove(&id)
+        let slot = self
+            .slot_of(id)
             .ok_or_else(|| FabricError::UnknownEntity(format!("segment {id:?}")))?;
-        self.by_base.remove(&seg.base);
+        let seg = self.segments.remove(slot);
         let per_way = seg.len.div_ceil(seg.ways.len() as u64);
         for m in &seg.ways {
             self.free[m.0 as usize] =
@@ -318,22 +315,34 @@ impl PoolAllocator {
 
     /// Resolves a pool address to its segment.
     pub fn segment_at(&self, hpa: u64) -> Result<&Segment, FabricError> {
-        let (_, &id) = self
-            .by_base
-            .range(..=hpa)
-            .next_back()
-            .ok_or(FabricError::Unmapped { hpa })?;
-        let seg = &self.segments[&id];
-        if hpa < seg.end() {
-            Ok(seg)
-        } else {
-            Err(FabricError::Unmapped { hpa })
-        }
+        self.slot_at(hpa).map(|slot| &self.segments[slot])
     }
 
     /// Looks up a segment by id.
     pub fn segment(&self, id: SegmentId) -> Option<&Segment> {
-        self.segments.get(&id)
+        self.slot_of(id).map(|slot| &self.segments[slot])
+    }
+
+    /// Position in the segment table of the segment covering `hpa`.
+    /// A slot names the same segment until the next alloc or free, so
+    /// one access resolves its address once and reads the segment back
+    /// with [`PoolAllocator::at_slot`].
+    pub(crate) fn slot_at(&self, hpa: u64) -> Result<usize, FabricError> {
+        // The last segment whose base is at or below `hpa`.
+        let above = self.segments.partition_point(|s| s.base <= hpa);
+        match above.checked_sub(1) {
+            Some(slot) if hpa < self.segments[slot].end() => Ok(slot),
+            _ => Err(FabricError::Unmapped { hpa }),
+        }
+    }
+
+    /// The segment at `slot`, as returned by [`PoolAllocator::slot_at`].
+    pub(crate) fn at_slot(&self, slot: usize) -> &Segment {
+        &self.segments[slot]
+    }
+
+    fn slot_of(&self, id: SegmentId) -> Option<usize> {
+        self.segments.binary_search_by_key(&id, |s| s.id).ok()
     }
 
     /// Total free bytes across the pool.
@@ -351,9 +360,9 @@ impl PoolAllocator {
         self.capacity_per_mhd
     }
 
-    /// Iterates over live segments.
+    /// Iterates over live segments in id order.
     pub fn segments(&self) -> impl Iterator<Item = &Segment> {
-        self.segments.values()
+        self.segments.iter()
     }
 }
 
@@ -468,12 +477,106 @@ mod tests {
         let t = Topology::dense(1, 4, 4);
         let mut a = alloc4();
         let seg = a.alloc(&t, &[HostId(0)], 10_000, 4).expect("alloc");
-        let spread = seg.spread(seg.base() + 100, 5_000);
-        let total: u64 = spread.values().sum();
+        let mut spread = Vec::new();
+        seg.spread_into(seg.base() + 100, 5_000, &mut spread);
+        let total: u64 = spread.iter().map(|&(_, b)| b).sum();
         assert_eq!(total, 5_000);
+        assert_eq!(spread.len(), 4);
+        assert!(spread.is_sorted_by_key(|&(m, _)| m));
         // With 256 B granules over 4 ways, counts are near-equal.
-        for &v in spread.values() {
+        for &(_, v) in &spread {
             assert!(v >= 1_000, "spread too skewed: {spread:?}");
+        }
+    }
+
+    /// A range inside one granule, at either edge or spanning its
+    /// whole width, lands on the granule's MHD in one entry; one byte
+    /// more crosses into the next way.
+    #[test]
+    fn single_granule_spread_is_one_entry() {
+        let t = Topology::dense(1, 4, 4);
+        let mut a = alloc4();
+        let seg = a
+            .alloc(&t, &[HostId(0)], 8 * INTERLEAVE_GRANULE, 4)
+            .expect("alloc");
+        let g1 = seg.base() + INTERLEAVE_GRANULE;
+        let mut spread = Vec::new();
+        for (hpa, len) in [
+            (g1, 1),
+            (g1, 64),
+            (g1 + 192, 64),
+            (g1 + INTERLEAVE_GRANULE - 1, 1),
+            (g1, INTERLEAVE_GRANULE),
+        ] {
+            seg.spread_into(hpa, len, &mut spread);
+            assert_eq!(spread, [(seg.mhd_for(g1), len)], "+{hpa:#x}/{len}");
+        }
+        seg.spread_into(g1 + 192, 65, &mut spread);
+        assert_eq!(spread.len(), 2);
+        assert!(spread.contains(&(seg.mhd_for(g1), 64)));
+        assert!(spread.contains(&(seg.mhd_for(g1 + INTERLEAVE_GRANULE), 1)));
+        seg.spread_into(g1, 0, &mut spread);
+        assert!(spread.is_empty());
+    }
+
+    /// Interleaved allocs and frees keep the flat table exact: lookups
+    /// resolve a segment's first and last byte, miss one past its end,
+    /// below the first base and in a freed hole, and iteration stays in
+    /// id order.
+    #[test]
+    fn segment_table_resolves_through_interleaved_frees() {
+        let t = topo();
+        let mut a = PoolAllocator::new(4, 1 << 24);
+        let mut live: Vec<Segment> = Vec::new();
+        let mut freed: Vec<Segment> = Vec::new();
+        for round in 0..24u64 {
+            let len = 64 + (round * 389) % 5_000;
+            live.push(a.alloc(&t, &[HostId(0)], len, 2).expect("alloc"));
+            // Free every third new segment, and one older one every
+            // fourth round, so holes open in the middle of the table.
+            let mut doomed = Vec::new();
+            if round % 3 == 2 {
+                doomed.push(live.pop().expect("just pushed"));
+            }
+            if round % 4 == 3 {
+                doomed.push(live.remove(live.len() / 2));
+            }
+            for seg in doomed {
+                a.free(seg.id()).expect("free");
+                freed.push(seg);
+            }
+            for seg in &live {
+                let id = seg.id();
+                assert_eq!(a.segment_at(seg.base()).map(Segment::id), Ok(id));
+                assert_eq!(a.segment_at(seg.end() - 1).map(Segment::id), Ok(id));
+                assert_eq!(a.segment(id).map(Segment::base), Some(seg.base()));
+                // One past the end is unmapped: the next base is
+                // granule-aligned above it, or freed.
+                if seg.len() % INTERLEAVE_GRANULE != 0 {
+                    assert!(matches!(
+                        a.segment_at(seg.end()),
+                        Err(FabricError::Unmapped { .. })
+                    ));
+                }
+            }
+            for seg in &freed {
+                assert!(a.segment(seg.id()).is_none());
+                for hpa in [seg.base(), seg.end() - 1] {
+                    assert_eq!(
+                        a.segment_at(hpa).map(Segment::id),
+                        Err(FabricError::Unmapped { hpa })
+                    );
+                }
+            }
+            let first = a.segments().next().map_or(u64::MAX, Segment::base);
+            assert!(matches!(
+                a.segment_at(first - 1),
+                Err(FabricError::Unmapped { .. })
+            ));
+            let ids: Vec<SegmentId> = a.segments().map(Segment::id).collect();
+            let mut want: Vec<SegmentId> = live.iter().map(Segment::id).collect();
+            want.sort_unstable();
+            assert_eq!(ids, want, "round {round}");
         }
     }
 

@@ -20,6 +20,11 @@ pub enum FabricError {
         /// Offending pool address.
         hpa: u64,
     },
+    /// The access covers no bytes (an empty buffer or payload).
+    EmptyAccess {
+        /// Pool address of the empty access.
+        hpa: u64,
+    },
     /// The access straddles the end of its segment.
     OutOfBounds {
         /// Offending pool address.
@@ -71,6 +76,7 @@ impl fmt::Display for FabricError {
             FabricError::AccessDenied { host, hpa } => {
                 write!(f, "host {host:?} may not access {hpa:#x}")
             }
+            FabricError::EmptyAccess { hpa } => write!(f, "empty access at {hpa:#x}"),
             FabricError::OutOfBounds { hpa, len } => {
                 write!(f, "access at {hpa:#x} len {len} exceeds segment bounds")
             }

@@ -9,6 +9,7 @@
 //! cached stores are not visible at all until flushed or evicted — the
 //! two hazards software coherence must handle on real non-coherent pools.
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
 
 use simkit::metrics::{MetricsConfig, MetricsRecorder};
@@ -168,8 +169,9 @@ pub struct Fabric {
     metrics: Option<Box<MetricsRecorder>>,
     /// Reusable per-access scratch for [`Segment::spread_into`]: every
     /// pool access computes an interleave spread, and reusing one
-    /// buffer keeps the datapath allocation-free.
-    spread_scratch: Vec<(MhdId, u64)>,
+    /// buffer keeps the datapath allocation-free. A `Cell` so the pure
+    /// [`Fabric::idle_load_latency`] can borrow it too.
+    spread_scratch: Cell<Vec<(MhdId, u64)>>,
     /// Reusable scratch for [`Fabric::load`], kept like
     /// `spread_scratch` so a load allocates nothing.
     load_scratch: LoadScratch,
@@ -230,7 +232,7 @@ impl Fabric {
             sync_ranges: LineRanges::default(),
             trace: None,
             metrics: None,
-            spread_scratch: Vec::new(),
+            spread_scratch: Cell::default(),
             load_scratch: LoadScratch::default(),
             topology_epoch: 0,
         }
@@ -629,7 +631,7 @@ impl Fabric {
     ) -> Result<Nanos, FabricError> {
         self.apply_pending(now);
         let len = buf.len() as u64;
-        self.check(host, hpa, len)?;
+        let slot = self.check(host, hpa, len)?;
         self.stats.loads += 1;
         self.stats.bytes_read += len;
 
@@ -684,7 +686,8 @@ impl Fabric {
 
         let bytes = scratch.missed.len() as u64 * CACHELINE;
         self.load_scratch = scratch;
-        let done = self.timed_pool_read(now, host, hpa, bytes)?;
+        let issue = self.params.cxl_host_overhead_ns;
+        let done = self.timed_read(now, host, slot, hpa, bytes, issue)?;
         self.trace_fabric_op(Track::HostCpu(host.0), "fabric/load", now, done);
         Ok(done)
     }
@@ -702,7 +705,7 @@ impl Fabric {
     ) -> Result<Nanos, FabricError> {
         self.apply_pending(now);
         let len = data.len() as u64;
-        self.check(host, hpa, len)?;
+        let slot = self.check(host, hpa, len)?;
         self.stats.stores += 1;
         if let Some(a) = self.audit.as_deref_mut() {
             a.count_store(host, hpa, len);
@@ -747,7 +750,8 @@ impl Fabric {
             self.trace_fabric_op(Track::HostCpu(host.0), "fabric/store", now, done);
             return Ok(done);
         }
-        let done = self.timed_pool_read(now, host, hpa, fetched)?;
+        let issue = self.params.cxl_host_overhead_ns;
+        let done = self.timed_read(now, host, slot, hpa, fetched, issue)?;
         self.trace_fabric_op(Track::HostCpu(host.0), "fabric/store", now, done);
         Ok(done)
     }
@@ -764,14 +768,15 @@ impl Fabric {
     ) -> Result<Nanos, FabricError> {
         self.apply_pending(now);
         let len = data.len() as u64;
-        self.check(host, hpa, len)?;
+        let slot = self.check(host, hpa, len)?;
         self.stats.nt_stores += 1;
         self.stats.bytes_written += len;
 
         for la in lines(hpa, len) {
             self.caches[host.0 as usize].invalidate(la);
         }
-        let done = self.timed_pool_write(now, host, hpa, len)?;
+        let issue = self.params.cxl_host_overhead_ns;
+        let done = self.timed_write(now, host, slot, hpa, len, issue)?;
         if let Some(a) = self.audit.as_deref_mut() {
             a.on_nt_store(now, host, hpa, len, done);
         }
@@ -792,7 +797,7 @@ impl Fabric {
         len: u64,
     ) -> Result<Nanos, FabricError> {
         self.apply_pending(now);
-        self.check(host, hpa, len)?;
+        let slot = self.check(host, hpa, len)?;
         self.stats.flushes += 1;
 
         let mut dirty: Vec<(u64, [u8; CACHELINE as usize])> = Vec::new();
@@ -812,7 +817,8 @@ impl Fabric {
         }
         let bytes = dirty.len() as u64 * CACHELINE;
         self.stats.bytes_written += bytes;
-        let done = self.timed_pool_write(now, host, hpa, bytes)?;
+        let issue = self.params.cxl_host_overhead_ns;
+        let done = self.timed_write(now, host, slot, hpa, bytes, issue)?;
         if let Some(a) = self.audit.as_deref_mut() {
             let dirty_lines: Vec<u64> = dirty.iter().map(|&(la, _)| la).collect();
             a.on_flush(now, host, hpa, len, &dirty_lines, done);
@@ -879,11 +885,9 @@ impl Fabric {
         hpa: u64,
         len: u64,
     ) -> Result<Nanos, FabricError> {
-        self.check(host, hpa, len)?;
+        let slot = self.check(host, hpa, len)?;
         let bytes = lines(hpa, len).count() as u64 * CACHELINE;
-        let seg = self.alloc.segment_at(hpa)?;
-        let mut spread = Vec::new();
-        seg.spread_into(hpa, bytes.min(seg.end() - hpa).max(1), &mut spread);
+        let spread = self.spread(slot, hpa, bytes);
         let p = &self.params;
         let link_gbps = p.link_gbps();
         let wire = Nanos(p.cxl_wire_ns);
@@ -906,6 +910,7 @@ impl Fabric {
                 + wire;
             done = done.max(path);
         }
+        self.spread_scratch.set(spread);
         Ok(done)
     }
 
@@ -926,7 +931,7 @@ impl Fabric {
     ) -> Result<Nanos, FabricError> {
         self.apply_pending(now);
         let len = buf.len() as u64;
-        self.check(host, hpa, len)?;
+        let slot = self.check(host, hpa, len)?;
         self.stats.dma_reads += 1;
         self.stats.bytes_read += len;
         if let Some(a) = self.audit.as_deref_mut() {
@@ -942,7 +947,7 @@ impl Fabric {
                 }
             }
         }
-        let done = self.timed_pool_read_dev(now, host, hpa, len)?;
+        let done = self.timed_read(now, host, slot, hpa, len, 0)?;
         self.sync_trace_audit();
         self.trace_fabric_op(Track::Dma(host.0), "fabric/dma_read", now, done);
         Ok(done)
@@ -961,14 +966,14 @@ impl Fabric {
     ) -> Result<Nanos, FabricError> {
         self.apply_pending(now);
         let len = data.len() as u64;
-        self.check(host, hpa, len)?;
+        let slot = self.check(host, hpa, len)?;
         self.stats.dma_writes += 1;
         self.stats.bytes_written += len;
 
         for la in lines(hpa, len) {
             self.caches[host.0 as usize].invalidate(la);
         }
-        let done = self.timed_pool_write_dev(now, host, hpa, len)?;
+        let done = self.timed_write(now, host, slot, hpa, len, 0)?;
         if let Some(a) = self.audit.as_deref_mut() {
             a.on_dma_write(now, host, hpa, len, done);
         }
@@ -1058,16 +1063,23 @@ impl Fabric {
     // Internals
     // ---------------------------------------------------------------
 
-    fn check(&self, host: HostId, hpa: u64, len: u64) -> Result<(), FabricError> {
-        assert!(len > 0, "zero-length access");
-        let seg = self.alloc.segment_at(hpa)?;
+    /// Checks that `host` may access `[hpa, hpa + len)` and returns
+    /// the slot of its segment in the allocator's table. The access
+    /// hands the slot on to its timed path, so each access resolves
+    /// its address once.
+    fn check(&self, host: HostId, hpa: u64, len: u64) -> Result<usize, FabricError> {
+        if len == 0 {
+            return Err(FabricError::EmptyAccess { hpa });
+        }
+        let slot = self.alloc.slot_at(hpa)?;
+        let seg = self.alloc.at_slot(slot);
         if !seg.grants(host) {
             return Err(FabricError::AccessDenied { host, hpa });
         }
         if hpa + len > seg.end() {
             return Err(FabricError::OutOfBounds { hpa, len });
         }
-        Ok(())
+        Ok(slot)
     }
 
     /// Settles one cache eviction: dirty victims write back to the
@@ -1129,146 +1141,77 @@ impl Fabric {
             .ok_or(FabricError::NoPath { host, mhd })
     }
 
-    /// Fills `spread_scratch`'s stand-in `out` with the interleave
-    /// spread of `[hpa, hpa + bytes)`, resolving the owning segment.
-    fn spread_at(
-        &self,
-        hpa: u64,
-        bytes: u64,
-        out: &mut Vec<(MhdId, u64)>,
-    ) -> Result<(), FabricError> {
-        let seg = self.alloc.segment_at(hpa)?;
-        seg.spread_into(hpa, bytes.min(seg.end() - hpa).max(1), out);
-        Ok(())
+    /// The interleave spread of `[hpa, hpa + bytes)`, clipped to the
+    /// segment at `slot`, in the reusable scratch vector. Callers hand
+    /// the vector back to `spread_scratch` when done; an error return
+    /// drops it and the next access allocates a fresh one.
+    fn spread(&self, slot: usize, hpa: u64, bytes: u64) -> Vec<(MhdId, u64)> {
+        let seg = self.alloc.at_slot(slot);
+        let mut out = self.spread_scratch.take();
+        seg.spread_into(hpa, bytes.min(seg.end() - hpa).max(1), &mut out);
+        out
     }
 
-    /// Timed CPU read of `bytes` spread over the segment's interleave
-    /// set: request up each involved link, data streams back down.
-    fn timed_pool_read(
+    /// Timed read of `bytes` spread over the interleave set of the
+    /// segment at `slot`: a request goes up each involved link and the
+    /// data streams back down. `issue_ns` is the CPU's issue overhead,
+    /// zero for device DMA.
+    fn timed_read(
         &mut self,
         now: Nanos,
         host: HostId,
-        hpa: u64,
-        bytes: u64,
-    ) -> Result<Nanos, FabricError> {
-        self.timed_read_inner(now, host, hpa, bytes, self.params.cxl_host_overhead_ns)
-    }
-
-    /// Timed device DMA read: same path, no CPU issue overhead.
-    fn timed_pool_read_dev(
-        &mut self,
-        now: Nanos,
-        host: HostId,
-        hpa: u64,
-        bytes: u64,
-    ) -> Result<Nanos, FabricError> {
-        self.timed_read_inner(now, host, hpa, bytes, 0)
-    }
-
-    fn timed_read_inner(
-        &mut self,
-        now: Nanos,
-        host: HostId,
+        slot: usize,
         hpa: u64,
         bytes: u64,
         issue_ns: u64,
     ) -> Result<Nanos, FabricError> {
-        let mut spread = std::mem::take(&mut self.spread_scratch);
-        let mut result = self
-            .spread_at(hpa, bytes, &mut spread)
-            .map(|()| Nanos::ZERO);
-        if result.is_ok() {
-            let wire = Nanos(self.params.cxl_wire_ns);
-            let dev_fixed = Nanos(self.params.cxl_device_ns);
-            let occ = Nanos(self.params.mhd_occupancy_ns);
-            let t_issue = now + Nanos(issue_ns);
-            let mut done = Nanos::ZERO;
-            for &(mhd, b) in &spread {
-                match self.pick_link(now, host, mhd) {
-                    Ok(link) => {
-                        // Request packet (header-sized; modelled as one line).
-                        let up = self.uplinks[link.0 as usize].transfer(t_issue, CACHELINE);
-                        let at_dev = up + wire;
-                        let dev_ready = self.mhd_pipes[mhd.0 as usize].transfer(at_dev, b) + occ;
-                        let stream_start = dev_ready + dev_fixed;
-                        let down = self.downlinks[link.0 as usize].transfer(stream_start, b);
-                        done = done.max(down + wire);
-                    }
-                    Err(e) => {
-                        result = Err(e);
-                        break;
-                    }
-                }
-            }
-            if result.is_ok() {
-                result = Ok(done);
-            }
+        let spread = self.spread(slot, hpa, bytes);
+        let wire = Nanos(self.params.cxl_wire_ns);
+        let dev_fixed = Nanos(self.params.cxl_device_ns);
+        let occ = Nanos(self.params.mhd_occupancy_ns);
+        let t_issue = now + Nanos(issue_ns);
+        let mut done = Nanos::ZERO;
+        for &(mhd, b) in &spread {
+            let link = self.pick_link(now, host, mhd)?;
+            // Request packet (header-sized; modelled as one line).
+            let up = self.uplinks[link.0 as usize].transfer(t_issue, CACHELINE);
+            let at_dev = up + wire;
+            let dev_ready = self.mhd_pipes[mhd.0 as usize].transfer(at_dev, b) + occ;
+            let stream_start = dev_ready + dev_fixed;
+            let down = self.downlinks[link.0 as usize].transfer(stream_start, b);
+            done = done.max(down + wire);
         }
-        self.spread_scratch = spread;
-        result
+        self.spread_scratch.set(spread);
+        Ok(done)
     }
 
-    /// Timed CPU-visible pool write (non-temporal / flush path).
-    fn timed_pool_write(
+    /// Timed write of `bytes` over the interleave set of the segment at
+    /// `slot` (non-temporal store, flush or device DMA). `issue_ns` is
+    /// as for [`Fabric::timed_read`].
+    fn timed_write(
         &mut self,
         now: Nanos,
         host: HostId,
-        hpa: u64,
-        bytes: u64,
-    ) -> Result<Nanos, FabricError> {
-        self.timed_write_inner(now, host, hpa, bytes, self.params.cxl_host_overhead_ns)
-    }
-
-    /// Timed device DMA pool write.
-    fn timed_pool_write_dev(
-        &mut self,
-        now: Nanos,
-        host: HostId,
-        hpa: u64,
-        bytes: u64,
-    ) -> Result<Nanos, FabricError> {
-        self.timed_write_inner(now, host, hpa, bytes, 0)
-    }
-
-    fn timed_write_inner(
-        &mut self,
-        now: Nanos,
-        host: HostId,
+        slot: usize,
         hpa: u64,
         bytes: u64,
         issue_ns: u64,
     ) -> Result<Nanos, FabricError> {
-        let mut spread = std::mem::take(&mut self.spread_scratch);
-        let mut result = self
-            .spread_at(hpa, bytes, &mut spread)
-            .map(|()| Nanos::ZERO);
-        if result.is_ok() {
-            let wire = Nanos(self.params.cxl_wire_ns);
-            let dev_half = Nanos(self.params.cxl_device_ns / 2);
-            let occ = Nanos(self.params.mhd_occupancy_ns);
-            let t_issue = now + Nanos(issue_ns);
-            let mut done = Nanos::ZERO;
-            for &(mhd, b) in &spread {
-                match self.pick_link(now, host, mhd) {
-                    Ok(link) => {
-                        let up = self.uplinks[link.0 as usize].transfer(t_issue, b);
-                        let at_dev = up + wire;
-                        let landed =
-                            self.mhd_pipes[mhd.0 as usize].transfer(at_dev, b) + occ + dev_half;
-                        done = done.max(landed);
-                    }
-                    Err(e) => {
-                        result = Err(e);
-                        break;
-                    }
-                }
-            }
-            if result.is_ok() {
-                result = Ok(done);
-            }
+        let spread = self.spread(slot, hpa, bytes);
+        let wire = Nanos(self.params.cxl_wire_ns);
+        let dev_half = Nanos(self.params.cxl_device_ns / 2);
+        let occ = Nanos(self.params.mhd_occupancy_ns);
+        let t_issue = now + Nanos(issue_ns);
+        let mut done = Nanos::ZERO;
+        for &(mhd, b) in &spread {
+            let link = self.pick_link(now, host, mhd)?;
+            let up = self.uplinks[link.0 as usize].transfer(t_issue, b);
+            let at_dev = up + wire;
+            let landed = self.mhd_pipes[mhd.0 as usize].transfer(at_dev, b) + occ + dev_half;
+            done = done.max(landed);
         }
-        self.spread_scratch = spread;
-        result
+        self.spread_scratch.set(spread);
+        Ok(done)
     }
 }
 

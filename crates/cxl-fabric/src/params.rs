@@ -184,6 +184,37 @@ mod tests {
         assert!(p.idle_cxl_store() < p.idle_cxl_load());
     }
 
+    /// The fabric's pipes time every transfer with
+    /// [`simkit::time::transfer_time`]; it must round exactly as
+    /// `f64::ceil` does at every bandwidth the parameters can produce
+    /// (all link widths of both generations, the MHD DRAM and the
+    /// pod's local DRAM), from 0 B to 64 KiB and at every power of two.
+    #[test]
+    fn transfer_time_is_f64_ceil_at_every_fabric_bandwidth() {
+        let mut bandwidths = vec![
+            FabricParams::default().mhd_dram_gbps,
+            crate::PodConfig::new(1, 1, 1).local_dram_gbps,
+        ];
+        for gen in [PcieGen::Gen4, PcieGen::Gen5] {
+            for width in [LinkWidth::X4, LinkWidth::X8, LinkWidth::X16] {
+                let p = FabricParams {
+                    gen,
+                    width,
+                    ..FabricParams::default()
+                };
+                bandwidths.push(p.link_gbps());
+            }
+        }
+        let sizes = (0..=64 * 1024u64).chain((0..64).map(|i| 1u64 << i));
+        for g in bandwidths {
+            for bytes in sizes.clone() {
+                let want = Nanos((bytes as f64 / g).ceil() as u64);
+                let got = simkit::time::transfer_time(bytes, g);
+                assert_eq!(got, want, "{bytes} B at {g} GB/s");
+            }
+        }
+    }
+
     #[test]
     fn interleave_granule_is_256() {
         assert_eq!(INTERLEAVE_GRANULE, 256);

@@ -10,6 +10,13 @@
 //! keys that dominate simulation state (line addresses, page numbers),
 //! and byte-identical table layout on every run.
 //!
+//! hashbrown takes a key's probe start from the *low* bits of its hash
+//! and a 7-bit tag from the top bits. A bare multiply leaves the low
+//! bits of `k · 2^n · SEED` zero, so 64 B-aligned line addresses would
+//! start every probe on 1/64 of the buckets. [`Hasher::finish`] rotates
+//! the well-mixed high bits down into the low ones, as rustc-hash 2
+//! does.
+//!
 //! Determinism of layout is **not** license to iterate: iteration
 //! order still depends on insertion history and capacity, so the
 //! simlint `hash-iter` rule applies to these maps exactly as it does
@@ -26,15 +33,17 @@ pub type DetHashMap<K, V> = HashMap<K, V, BuildHasherDefault<DetHasher>>;
 pub type DetHashSet<T> = HashSet<T, BuildHasherDefault<DetHasher>>;
 
 /// Odd multiplier derived from the golden ratio (`2^64 / φ`), the
-/// standard Fibonacci-hashing constant: consecutive keys scatter to
-/// well-separated buckets, which is exactly the access pattern of
-/// line-address and page-number keys.
+/// standard Fibonacci-hashing constant: consecutive keys scatter
+/// across the product's high bits, which is exactly the access pattern
+/// of line-address and page-number keys. [`DetHasher::finish`] rotates
+/// those bits down to where the table indexes.
 const SEED: u64 = 0x517c_c1b7_2722_0a95;
 
 /// A fixed-seed multiply-rotate hasher (FxHash construction).
 ///
 /// Each input word is folded in as
-/// `state = (rotl(state, 5) ^ word) * SEED`. Not DoS-resistant by
+/// `state = (rotl(state, 5) ^ word) * SEED`, and the hash is
+/// `rotl(state, 26)` (see the module docs). Not DoS-resistant by
 /// design — simulation keys are simulator-generated, not adversarial —
 /// and in exchange a `u64` key hashes in a handful of cycles instead
 /// of SipHash's per-byte rounds.
@@ -53,7 +62,7 @@ impl DetHasher {
 impl Hasher for DetHasher {
     #[inline]
     fn finish(&self) -> u64 {
-        self.state
+        self.state.rotate_left(26)
     }
 
     #[inline]
@@ -108,12 +117,21 @@ mod tests {
     }
 
     #[test]
-    fn consecutive_keys_scatter() {
-        // Fibonacci multiplier property: neighbours land far apart in
-        // the high bits the table actually uses.
-        let a = hash_of(0x1000);
-        let b = hash_of(0x1040);
-        assert_ne!(a >> 57, b >> 57, "top bits must differ: {a:#x} {b:#x}");
+    fn line_aligned_keys_spread_over_the_low_bits() {
+        // hashbrown picks the probe start from the low bits, so 4,096
+        // consecutive 64 B line addresses must not crowd into a few
+        // starting buckets of a 4,096-bucket table. Without the final
+        // rotation every one of these hashes is a multiple of 64.
+        let mut starts: Vec<u64> = (0..4096u64)
+            .map(|k| hash_of(0x10_0000 + k * 64) & 0xfff)
+            .collect();
+        starts.sort_unstable();
+        starts.dedup();
+        assert!(
+            starts.len() >= 2048,
+            "only {} distinct low-12-bit probe starts",
+            starts.len()
+        );
     }
 
     #[test]

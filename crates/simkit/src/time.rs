@@ -181,8 +181,18 @@ pub fn transfer_time(bytes: u64, gbytes_per_sec: f64) -> Nanos {
     if bytes == 0 {
         return Nanos::ZERO;
     }
-    // 1 GB/s == 1 byte/ns, so ns = bytes / GBps.
-    Nanos((bytes as f64 / gbytes_per_sec).ceil() as u64)
+    // 1 GB/s == 1 byte/ns, so ns = bytes / GBps, rounded up. The
+    // truncating cast is the floor of a nonnegative quotient, so adding
+    // one where it fell short is `ceil` bit for bit, without the libm
+    // call `f64::ceil` compiles to on baseline x86-64. Both saturate
+    // past `u64::MAX`.
+    let ns = bytes as f64 / gbytes_per_sec;
+    let floor = ns as u64;
+    Nanos(if (floor as f64) < ns {
+        floor.saturating_add(1)
+    } else {
+        floor
+    })
 }
 
 #[cfg(test)]
@@ -231,6 +241,19 @@ mod tests {
         assert_eq!(transfer_time(0, 30.0), Nanos::ZERO);
         // 1 GiB at 1 GB/s is just over one second.
         assert_eq!(transfer_time(1 << 30, 1.0), Nanos(1 << 30));
+    }
+
+    #[test]
+    fn transfer_time_is_f64_ceil() {
+        let sizes = (0..=4096u64)
+            .chain((0..64).map(|i| 1u64 << i))
+            .chain([u64::MAX, (1 << 53) + 1]);
+        for g in [0.1, 0.3, 1.0, 1.875, 7.5, 12.5, 30.0, 33.3, 120.0, 1e-300] {
+            for bytes in sizes.clone() {
+                let want = Nanos((bytes as f64 / g).ceil() as u64);
+                assert_eq!(transfer_time(bytes, g), want, "{bytes} B at {g} GB/s");
+            }
+        }
     }
 
     #[test]

@@ -179,8 +179,9 @@ impl WorkloadSpec {
 
     /// Validates the spec against a pod: every tenant needs at least
     /// one host and one positively-weighted op, every weight must be a
-    /// finite nonnegative number, every op must fit one I/O buffer slot
-    /// ([`IO_SLOT`]), and every op's device kind must exist in `kinds`. Churn tenants are held to the same
+    /// finite nonnegative number, every op must move at least one byte
+    /// and fit one I/O buffer slot ([`IO_SLOT`]), and every op's device
+    /// kind must exist in `kinds`. Churn tenants are held to the same
     /// rules and must additionally be open-loop (their schedules are
     /// thinned by lifecycle phase, which a completion-driven process
     /// has none of). Returns the offending description.
@@ -213,6 +214,9 @@ impl WorkloadSpec {
                 return Err(format!("tenant {}: empty op mix", t.name));
             }
             for &(op, w) in &t.mix {
+                if op.io_bytes() == 0 {
+                    return Err(format!("tenant {}: {} moves no bytes", t.name, op.label()));
+                }
                 if op.io_bytes() > IO_SLOT {
                     return Err(format!(
                         "tenant {}: {} moves {} bytes, more than one {IO_SLOT}-byte I/O slot",
@@ -352,6 +356,29 @@ mod tests {
             OpKind::SsdRead { blocks: 16 },
         ] {
             assert_eq!(with_web_mix(vec![(op, 1.0)]), Ok(()));
+        }
+    }
+
+    #[test]
+    fn validate_rejects_zero_sized_ops() {
+        for op in [
+            OpKind::NicSend { bytes: 0 },
+            OpKind::NicRecv { bytes: 0 },
+            OpKind::AccelRun { bytes: 0 },
+            OpKind::SsdRead { blocks: 0 },
+            OpKind::SsdWrite { blocks: 0 },
+        ] {
+            // Zero-weighted too: the op is still part of the mix.
+            for w in [1.0, 0.0] {
+                let mix = vec![(OpKind::NicSend { bytes: 64 }, 1.0), (op, w)];
+                let err = with_web_mix(mix).unwrap_err();
+                assert!(
+                    err.contains("tenant web")
+                        && err.contains(op.label())
+                        && err.contains("no bytes"),
+                    "{err}"
+                );
+            }
         }
     }
 
